@@ -73,11 +73,13 @@ def _read_matrix_file(path: str) -> BinaryCode:
 
 
 def _resolve_code(spec: str) -> BinaryCode:
-    if os.path.exists(spec):
-        return _read_matrix_file(spec)
+    """A catalog name wins over a file of the same name; anything else that
+    exists on disk is read as a matrix file."""
     try:
         return catalog.build_from_name(spec)
     except ValueError as exc:
+        if os.path.exists(spec):
+            return _read_matrix_file(spec)
         raise UsageError(f"cannot build code from {spec!r}: {exc}") from exc
 
 
@@ -176,6 +178,8 @@ def _report_to_csv(report: dict) -> str:
 
 def cmd_analyze(args) -> int:
     code = _resolve_code(args.code_spec)
+    if code.k == 0:
+        raise UsageError("matrix has rank 0: the zero code has no defining set")
     report, ok = analyze_report(code, args.code_spec, args.max_k)
     if args.format == "csv":
         _emit(_report_to_csv(report), args.out)
@@ -324,6 +328,8 @@ def _verify_catalog(rng, trials: int) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     defaults = {"roundtrip": 500, "theorem3": 1000, "bivariate": 100, "catalog": 1}
     trials = args.trials if args.trials is not None else defaults[args.suite]

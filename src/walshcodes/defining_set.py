@@ -14,8 +14,9 @@ degree-2h field into two GF(2^h) coordinates (the bivariate view).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bitmat
 from .boolfun import BooleanFunction
@@ -188,31 +189,46 @@ class SpectralWeightReport:
 
 
 def spectral_weight_distribution(f: BooleanFunction) -> SpectralWeightReport:
-    """Weight distribution of the code of f's support, from one Walsh transform."""
+    """Weight distribution of the code of f's support, from one Walsh transform.
+
+    The cost is one FWHT plus one O(2^m) array pass: t = 2*n_f + W_f(w) for
+    every w != 0, then a histogram of t/4 with the x = 0 codeword added to
+    weight 0.  The pass keeps these consistency checks, each raising
+    ValueError:
+
+    - every t is a nonnegative multiple of 4 (the first offending w is named);
+    - the zero-weight multiplicity e is a power of two;
+    - every raw multiplicity is divisible by e;
+    - the frequencies sum to 2^dimension, which also rejects a spectrum whose
+      length is not 2^m.
+
+    Weights and frequencies are plain ints, listed in ascending weight order.
+    """
     n_f = f.weight()
     if n_f == 0:
         raise ValueError("the zero function has an empty support and no code")
     spec = f.walsh_transform()
     m = f.m
-    multiset = Counter({0: 1})  # the x = 0 codeword
-    for w in range(1, f.field.order):
-        t = 2 * n_f + spec[w]
-        if t < 0 or t % 4:
-            raise ValueError(
-                f"spectral weight (2*{n_f} + {spec[w]})/4 at w={w} is not a "
-                f"nonnegative integer; the weight identity has been violated")
-        multiset[t // 4] += 1
-    e = multiset[0]
+    t = 2 * n_f + spec.values[1:]
+    bad = (t < 0) | (t % 4 != 0)
+    if bad.any():
+        w = int(np.argmax(bad)) + 1
+        raise ValueError(
+            f"spectral weight (2*{n_f} + {spec[w]})/4 at w={w} is not a "
+            f"nonnegative integer; the weight identity has been violated")
+    multiset = np.bincount(t // 4)
+    multiset[0] += 1  # the x = 0 codeword
+    e = int(multiset[0])
     if e & (e - 1):
         raise ValueError(f"zero-weight multiplicity e={e} is not a power of two")
-    weights = {}
-    for w, c in multiset.items():
-        q, r = divmod(c, e)
-        if r:
-            raise ValueError(
-                f"multiplicity {c} of weight {w} is not divisible by e={e}; "
-                f"frequencies would not be integral")
-        weights[w] = q
+    present = np.flatnonzero(multiset)
+    freqs, rems = np.divmod(multiset[present], e)
+    if rems.any():
+        w = int(present[np.argmax(rems != 0)])
+        raise ValueError(
+            f"multiplicity {int(multiset[w])} of weight {w} is not divisible by e={e}; "
+            f"frequencies would not be integral")
+    weights = dict(zip(present.tolist(), freqs.tolist()))
     dimension = m - e.bit_length() + 1
     if sum(weights.values()) != 1 << dimension:
         raise ValueError("spectral frequencies do not sum to 2^dimension")

@@ -94,6 +94,37 @@ def test_analyze_unknown_spec_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+def test_analyze_all_zero_matrix_is_a_one_line_usage_error(tmp_path):
+    zero = tmp_path / "zero.txt"
+    zero.write_text("000\n000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "walshcodes.cli", "analyze", str(zero)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: matrix has rank 0: the zero code has no defining set"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_catalog_name_wins_over_a_file_of_the_same_name(capsys, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "golay23").write_text("11\n")
+    code, out, _ = run_cli(capsys, "analyze", "golay23")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"n": 23, "k": 12, "d": 7}
+    (tmp_path / "gen.txt").write_text("110\n011\n")
+    code, out, _ = run_cli(capsys, "analyze", "gen.txt")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"n": 3, "k": 2, "d": 2}
+    code, _, err = run_cli(capsys, "analyze", "missing.txt")
+    assert code == 2
+    assert err.splitlines() == [
+        "error: cannot build code from 'missing.txt': "
+        "unknown catalog code 'missing.txt'"]
+
+
 def test_max_k_flag_validation(capsys):
     code, _, err = run_cli(capsys, "analyze", "simplex:k=3", "--max-k", "25")
     assert code == 2 and "--max-k" in err
@@ -210,6 +241,14 @@ def test_verify_suites_pass(capsys, suite, trials):
     assert code == 0
     assert f"verify {suite}: ok" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "roundtrip", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: --trials must be at least 1, got {trials}"]
 
 
 def test_verify_is_deterministic_for_a_seed(capsys):

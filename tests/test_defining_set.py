@@ -1,8 +1,13 @@
 """Tests for defining sets, code construction/extraction, and spectral weights."""
 
+import functools
+import operator
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshcodes.boolfun import BooleanFunction, bent_function, random_function
 from walshcodes.defining_set import (
@@ -311,6 +316,74 @@ def test_spectral_report_json_shape():
     fn = BooleanFunction.from_support(field(2), [1, 2, 3])
     d = spectral_weight_distribution(fn).to_json_dict()
     assert d == {"n_f": 3, "e": 1, "dimension": 2, "weights": {"0": 1, "2": 3}}
+
+
+@st.composite
+def spectral_supports(draw):
+    """(m, support) pairs: either a sparse set inside the span of fewer than m
+    field elements (so e > 1), or an arbitrary set; either may contain 0."""
+    m = draw(st.integers(2, 8))
+    q = 1 << m
+    if draw(st.booleans()):
+        r = draw(st.integers(1, m - 1))
+        gens = draw(st.lists(st.integers(1, q - 1), min_size=r, max_size=r))
+        masks = draw(st.lists(st.integers(0, (1 << r) - 1), min_size=1, max_size=12))
+        points = {functools.reduce(operator.xor,
+                                   (g for j, g in enumerate(gens) if mask >> j & 1), 0)
+                  for mask in masks}
+    else:
+        points = set(draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q)))
+    if draw(st.booleans()):
+        points.add(0)
+    return m, sorted(points)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(spectral_supports(), st.data())
+def test_spectral_report_equals_gray_code_enumeration(case, data):
+    m, points = case
+    f = field(m)
+    ds = DefiningSet.from_support(f, points)
+    code = code_from_defining_set(ds)
+    report = spectral_weight_distribution(BooleanFunction.from_support(f, points))
+    assert report.weights == code.weight_distribution()
+    assert (report.n_f, report.dimension, report.e) == (
+        len(points), code.k, 1 << (m - code.k))
+    assert all(type(w) is int and type(c) is int for w, c in report.weights.items())
+    for x in data.draw(st.lists(st.integers(0, f.order - 1), min_size=1, max_size=4)):
+        assert codeword_weight(ds, x) in report.weights
+
+
+class ForgedSpectrum:
+    """Stands in for WalshSpectrum without its Parseval and parity checks."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.int64)
+
+    def __getitem__(self, w):
+        return int(self.values[w])
+
+
+@pytest.mark.parametrize("values,message", [
+    # t = 2*n_f + W(w) = 4, 3, -4: w = 2 is the first that is not a multiple of 4
+    ([2, 2, 1, -6], "spectral weight (2*1 + 1)/4 at w=2 is not a nonnegative "
+                    "integer; the weight identity has been violated"),
+    ([2, 2, -6, 2], "spectral weight (2*1 + -6)/4 at w=2 is not a nonnegative "
+                    "integer; the weight identity has been violated"),
+    # weight 0 occurs at x = 0, 1 and 2
+    ([2, -2, -2, 2], "zero-weight multiplicity e=3 is not a power of two"),
+    # e = 2, but weights 1 and 2 occur once each
+    ([2, -2, 2, 6], "multiplicity 1 of weight 1 is not divisible by e=2; "
+                    "frequencies would not be integral"),
+    # a spectrum of length 2 for a function on GF(4)
+    ([2, 2], "spectral frequencies do not sum to 2^dimension"),
+])
+def test_spectral_report_rejects_forged_spectra(monkeypatch, values, message):
+    monkeypatch.setattr(BooleanFunction, "walsh_transform",
+                        lambda self: ForgedSpectrum(values))
+    fn = BooleanFunction.from_support(field(2), [1])  # n_f = 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spectral_weight_distribution(fn)
 
 
 # -- bivariate view ----------------------------------------------------------------
