@@ -3,9 +3,17 @@
 A matrix is a list of rows; each row is a Python int whose bit j is the
 entry in column j.  Widths are passed explicitly because leading zero
 columns are invisible in the int encoding.
+
+A matrix of at most 32 rows also has a column-word form: a numpy ``uint32``
+array whose entry j has bit i equal to row i, column j.  ``columns`` and
+``rows_of`` convert between the forms with ``np.unpackbits``/``np.packbits``,
+and ``linear_map`` applies a GF(2)-linear map to every column word through one
+xor lookup table per input byte; each is a few numpy passes over the columns.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def parity(word: int) -> int:
@@ -89,14 +97,6 @@ def invert(rows: list[int], size: int) -> list[int]:
     return aug
 
 
-def mat_vec(rows: list[int], v: int) -> int:
-    """Matrix-vector product: result bit i = parity(rows[i] & v)."""
-    out = 0
-    for i, r in enumerate(rows):
-        out |= parity(r & v) << i
-    return out
-
-
 def transpose(rows: list[int], width: int) -> list[int]:
     out = [0] * width
     for i, r in enumerate(rows):
@@ -107,26 +107,41 @@ def transpose(rows: list[int], width: int) -> list[int]:
     return out
 
 
-def from_bits(matrix) -> tuple[list[int], int]:
-    """Pack an iterable of 0/1 rows into bit words; returns (rows, width)."""
-    packed = []
-    width = None
-    for row in matrix:
-        bits = list(row)
-        if width is None:
-            width = len(bits)
-        elif len(bits) != width:
-            raise ValueError("ragged matrix")
-        word = 0
-        for j, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"matrix entry {b!r} is not a bit")
-            word |= b << j
-        packed.append(word)
-    if width is None:
-        raise ValueError("empty matrix")
-    return packed, width
+def columns(rows: list[int], n: int) -> np.ndarray:
+    """Column words of a matrix of at most 32 rows, each fitting in n bits:
+    entry j of the uint32 result has bit i equal to bit j of rows[i]."""
+    k = len(rows)
+    if k > 32:
+        raise ValueError(f"{k} rows do not fit in 32-bit column words")
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                           dtype=np.uint8).reshape(k, nbytes)
+    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+    words = np.zeros((n, 4), dtype=np.uint8)
+    words[:, :(k + 7) // 8] = np.packbits(bits, axis=0, bitorder="little").T
+    return words.view("<u4").ravel().astype(np.uint32, copy=False)
 
 
-def to_bits(rows: list[int], width: int) -> list[list[int]]:
-    return [[(r >> j) & 1 for j in range(width)] for r in rows]
+def rows_of(cols: np.ndarray, k: int) -> list[int]:
+    """The k rows whose column words are cols (inverse of ``columns``); bits of
+    cols at or above k are ignored."""
+    words = np.ascontiguousarray(cols, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(words, axis=1, count=k, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def linear_map(images, words) -> np.ndarray:
+    """The GF(2)-linear map that sends bit i to images[i], applied to every
+    word; bits of a word at or above len(images) are ignored.  Both images
+    and words are at most 32 bits wide."""
+    words = np.asarray(words, dtype=np.uint32)
+    out = np.zeros(words.shape, dtype=np.uint32)
+    for base in range(0, len(images), 8):
+        # table[b] = xor of images[base + i] over the set bits i of the byte b
+        chunk = images[base:base + 8]
+        table = np.zeros(1 << len(chunk), dtype=np.uint32)
+        for i, image in enumerate(chunk):
+            table[1 << i:2 << i] = table[:1 << i] ^ np.uint32(image)
+        out ^= table[(words >> np.uint32(base)) & np.uint32(len(table) - 1)]
+    return out

@@ -13,7 +13,7 @@ from math import comb
 
 from . import bitmat
 from .defining_set import DefiningSet, code_from_defining_set
-from .gf2 import MAX_M, Field, field as get_field, poly_divmod
+from .gf2 import MAX_M, Field, _prime_factors, field as get_field, poly_divmod, poly_mul
 from .linear_code import ENUMERATION_LIMIT, BinaryCode
 
 
@@ -28,14 +28,7 @@ class Poly2:
         return self.word.bit_length() - 1
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        r = 0
-        a, b = self.word, other.word
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        return Poly2(r)
+        return Poly2(poly_mul(self.word, other.word))
 
     def divides(self, other: "Poly2") -> bool:
         return poly_divmod(other.word, self.word)[1] == 0
@@ -219,21 +212,10 @@ def bch_code(n: int, delta: int) -> BinaryCode:
     return code
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def quadratic_residue_code(n: int) -> BinaryCode:
     """QR code of prime length n (n = +-1 mod 8): generator has the nonzero
     squares mod n as root exponents; k = (n+1)/2."""
-    if not _is_prime(n) or n > 127:
+    if _prime_factors(n) != [n] or n > 127:
         raise ValueError(f"QR length must be an odd prime <= 127, got {n}")
     if n % 8 not in (1, 7):
         raise ValueError(f"2 must be a square mod n (n = +-1 mod 8), got n={n}")

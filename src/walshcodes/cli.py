@@ -401,38 +401,42 @@ def _build_parser() -> argparse.ArgumentParser:
                     "analyze, and verify weight distributions through Walsh spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=False):
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-        p.add_argument("--trials", type=int, default=None,
-                       help="number of randomized cases (suite-specific default)")
-        p.add_argument("--out", default=None, help="output file (or directory)")
-        p.add_argument("--max-k", dest="max_k", type=int, default=HARD_CAP,
-                       help=f"enumeration guard (hard cap {HARD_CAP})")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+    flags = {
+        "--seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
+        "--trials": dict(type=int, help="number of randomized cases (suite-specific default)"),
+        "--out": dict(help="output file (or directory)"),
+        "--max-k": dict(dest="max_k", type=int, default=HARD_CAP,
+                        help=f"enumeration guard (hard cap {HARD_CAP})"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
+
+    def add_flags(p, *names):
+        # a subcommand registers only the flags it reads; argparse rejects the rest
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("analyze", help="full report for one code")
     p.add_argument("code_spec", help="catalog name (e.g. simplex:k=3) or matrix file")
-    common(p, fmt=True)
+    add_flags(p, "--out", "--format", "--max-k")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("build", help="defining-set JSON -> generator matrix")
     p.add_argument("defining_set", help="defining-set JSON file")
-    common(p)
+    add_flags(p, "--out")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("extract", help="generator matrix -> defining-set JSON")
     p.add_argument("matrix", help="generator matrix file (0/1 rows)")
-    common(p)
+    add_flags(p, "--out")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("roundtrip", "theorem3", "bivariate", "catalog"))
-    common(p)
+    add_flags(p, "--seed", "--trials")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("openproblems", help="write per-family study reports")
-    common(p)
+    add_flags(p, "--out", "--max-k")
     p.set_defaults(func=cmd_openproblems)
     return parser
 

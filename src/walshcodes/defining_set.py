@@ -90,11 +90,12 @@ class DefiningSet:
 
 
 def code_from_defining_set(ds: DefiningSet) -> BinaryCode:
-    """The code whose rows are r_i[j] = Tr(alpha^i * d_j); rank may be < m."""
+    """The code whose rows are r_i[j] = Tr(alpha^i * d_j); rank may be < m.
+    Column j is the trace-coordinate word of d_j, a GF(2)-linear map of d_j:
+    O(n) numpy work plus the m-row ``rref`` of the code."""
     f = ds.field
-    cols = [f.trace_coordinates(v) for v in ds.values]
-    rows = bitmat.transpose(cols, f.m)
-    return BinaryCode(rows, ds.n)
+    cols = bitmat.linear_map(f.trace_form_rows, ds.values)
+    return BinaryCode(bitmat.rows_of(cols, f.m), ds.n)
 
 
 def codeword_weight(ds: DefiningSet, x) -> int:
@@ -110,7 +111,10 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     echelon generator G, beta the dual of the chosen basis of GF(2^k).
 
     The resulting defining set keeps the code's column order, so rebuilding
-    reproduces the code coordinate-for-coordinate.
+    reproduces the code coordinate-for-coordinate.  The extraction and its
+    self-check, which rebuilds every entry G[i][j] = Tr(b_i * d_j), are
+    GF(2)-linear maps on the column words of G: O(n) numpy work on top of the
+    k-row ``rref`` the code already holds.
     """
     if code.k == 0:
         raise ValueError("the zero code has no defining set")
@@ -118,26 +122,20 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     if fld.m != code.k:
         raise ValueError(f"extraction field must have degree k={code.k}, got m={fld.m}")
     if basis is None:
-        basis = fld.polynomial_basis()
+        basis, beta = fld.polynomial_basis(), fld.dual_polynomial_basis
     elif basis.field != fld:
         raise ValueError("basis does not belong to the extraction field")
-    beta = basis.dual()
+    else:
+        beta = basis.dual()
     _, gen = code.rref()
-    cols = bitmat.transpose(gen, code.n)
-    vals = []
-    for col in cols:
-        v = 0
-        for i in range(code.k):
-            if (col >> i) & 1:
-                v ^= beta[i].value
-        vals.append(v)
-    for i, b in enumerate(basis):
-        rebuilt = 0
-        for j, v in enumerate(vals):
-            rebuilt |= fld.trace(fld.mul(b.value, v)) << j
-        if rebuilt != gen[i]:
-            raise AssertionError("extraction failed to reproduce the generator row")
-    return DefiningSet(fld, vals)
+    vals = bitmat.linear_map([b.value for b in beta], bitmat.columns(gen, code.n))
+    # Tr(b_i * v) = parity(b_i & tc(v)), tc the trace coordinates: a linear
+    # map of tc(v) whose images are the transposed basis words
+    coords = bitmat.linear_map(fld.trace_form_rows, vals)
+    rebuilt = bitmat.linear_map(bitmat.transpose([b.value for b in basis], fld.m), coords)
+    if bitmat.rows_of(rebuilt, code.k) != list(gen):
+        raise AssertionError("extraction failed to reproduce the generator row")
+    return DefiningSet(fld, vals.tolist())
 
 
 def _projectivity_diagnostic(code: BinaryCode) -> str:

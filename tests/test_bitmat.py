@@ -2,6 +2,9 @@
 
 import random
 
+import numpy as np
+import pytest
+
 from walshcodes import bitmat
 
 
@@ -90,6 +93,11 @@ def test_kernel_of_zero_map_is_everything():
     assert len(span(bitmat.kernel([0, 0], 3))) == 8
 
 
+def mat_vec(rows, v):
+    """Matrix-vector product: result bit i = parity(rows[i] & v)."""
+    return sum(bitmat.parity(r & v) << i for i, r in enumerate(rows))
+
+
 def test_invert_produces_two_sided_inverse():
     rng = random.Random(6)
     found = 0
@@ -103,8 +111,8 @@ def test_invert_produces_two_sided_inverse():
         for i in range(size):
             e = 1 << i
             # x -> rows . (inv . x) is the identity, and the other way round
-            assert bitmat.mat_vec(rows, bitmat.mat_vec(inv, e)) == e
-            assert bitmat.mat_vec(inv, bitmat.mat_vec(rows, e)) == e
+            assert mat_vec(rows, mat_vec(inv, e)) == e
+            assert mat_vec(inv, mat_vec(rows, e)) == e
 
 
 def test_invert_rejects_singular():
@@ -114,17 +122,6 @@ def test_invert_rejects_singular():
         pass
     else:
         raise AssertionError("singular matrix must be rejected")
-
-
-def test_mat_vec_is_bitwise_dot_product():
-    rng = random.Random(7)
-    for _ in range(200):
-        width = rng.randint(1, 10)
-        rows = random_rows(rng, rng.randint(1, 6), width)
-        v = rng.randrange(1 << width)
-        got = bitmat.mat_vec(rows, v)
-        for i, r in enumerate(rows):
-            assert (got >> i) & 1 == bitmat.parity(r & v)
 
 
 def test_transpose_swaps_indices():
@@ -140,23 +137,36 @@ def test_transpose_swaps_indices():
         assert bitmat.transpose(cols, len(rows)) == list(rows)
 
 
-def test_bits_round_trip():
+def test_columns_and_rows_of_are_inverse_and_agree_with_transpose():
     rng = random.Random(9)
-    for _ in range(100):
-        width = rng.randint(1, 12)
-        rows = random_rows(rng, rng.randint(1, 5), width)
-        grid = bitmat.to_bits(rows, width)
-        assert all(len(r) == width for r in grid)
-        assert all(b in (0, 1) for r in grid for b in r)
-        packed, w = bitmat.from_bits(grid)
-        assert (packed, w) == (rows, width)
+    for _ in range(300):
+        n = rng.randint(1, 80)
+        k = rng.randint(0, 32)
+        rows = random_rows(rng, k, n)
+        cols = bitmat.columns(rows, n)
+        assert cols.dtype == np.uint32 and cols.shape == (n,)
+        assert cols.tolist() == bitmat.transpose(rows, n)
+        assert bitmat.rows_of(cols, k) == rows
+        # and the other way round, from arbitrary column words
+        words = np.array(random_rows(rng, n, k), dtype=np.uint32)
+        assert np.array_equal(bitmat.columns(bitmat.rows_of(words, k), n), words)
 
 
-def test_from_bits_rejects_bad_input():
-    for bad in ([[0, 1], [1]], [], [[0, 2]]):
-        try:
-            bitmat.from_bits(bad)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError(f"{bad!r} must be rejected")
+def test_columns_rejects_more_than_32_rows():
+    with pytest.raises(ValueError, match="32-bit"):
+        bitmat.columns([1] * 33, 4)
+
+
+def test_linear_map_matches_bit_by_bit_xor():
+    rng = random.Random(10)
+    for _ in range(300):
+        images = random_rows(rng, rng.randint(0, 32), 32)
+        words = random_rows(rng, rng.randint(0, 20), 32)
+        got = bitmat.linear_map(images, words)
+        assert got.dtype == np.uint32
+        for w, g in zip(words, got.tolist()):
+            expected = 0
+            for i, image in enumerate(images):
+                if (w >> i) & 1:
+                    expected ^= image
+            assert g == expected  # bits of w at or above len(images) are ignored

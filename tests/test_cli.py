@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -290,6 +291,41 @@ def test_openproblems_is_byte_stable(capsys, tmp_path):
     assert run_cli(capsys, "openproblems", "--out", str(b_dir))[0] == 0
     for path in sorted(a_dir.iterdir()):
         assert path.read_bytes() == (b_dir / path.name).read_bytes()
+
+
+# The sha256 of the seven report files concatenated in name order.  Any
+# change to the reports' bytes must update this digest on purpose.
+OPENPROBLEMS_SHA256 = "e015ae1213cc8ba0bc9c03ebfafb95076d49c618535472ed04d5c25762ed96a1"
+
+
+def test_openproblems_reports_match_the_golden_digest(capsys, tmp_path):
+    assert run_cli(capsys, "openproblems", "--out", str(tmp_path))[0] == 0
+    paths = sorted(tmp_path.glob("problem*.json"), key=lambda p: p.name)
+    assert len(paths) == 7
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+    assert digest == OPENPROBLEMS_SHA256
+
+
+# -- flags -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "simplex:k=2", "--trials", "-5", "--seed", "9"],
+    ["build", "ds.json", "--max-k", "3"],
+    ["build", "ds.json", "--format", "csv"],
+    ["extract", "gen.txt", "--seed", "1"],
+    ["verify", "roundtrip", "--out", "report.txt"],
+    ["verify", "roundtrip", "--max-k", "3"],
+    ["openproblems", "--trials", "2"],
+    ["openproblems", "--format", "csv"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
 
 
 # -- process-level entry point -----------------------------------------------------------

@@ -21,7 +21,7 @@ from walshcodes.defining_set import (
     spectral_weight_distribution,
     verify_spectral_distribution,
 )
-from walshcodes.gf2 import Basis, field
+from walshcodes.gf2 import Basis, Field, field, is_irreducible
 from walshcodes.linear_code import BinaryCode, codes_equal
 from walshcodes import bitmat
 
@@ -207,6 +207,72 @@ def test_extract_errors():
         extract_defining_set(code, field=field(3))  # degree 3 != k = 2
     with pytest.raises(ValueError):
         extract_defining_set(code, basis=field(3).polynomial_basis())
+
+
+def test_extract_self_check_rejects_a_wrong_dual_basis():
+    # a fresh, non-interned field, so the forged cache stays local to the test
+    fld = Field(3)
+    # the polynomial basis of GF(8) mod x^3 + x + 1 is not self-dual
+    fld.dual_polynomial_basis = fld.polynomial_basis()
+    code = code_from_defining_set(DefiningSet.from_support(field(3), range(1, 8)))
+    with pytest.raises(AssertionError,
+                       match="^extraction failed to reproduce the generator row$"):
+        extract_defining_set(code, field=fld)
+    assert code_from_defining_set(extract_defining_set(code, field=field(3))) == code
+
+
+@functools.cache
+def irreducibles(m):
+    return [p for p in range(1 << m, 2 << m) if is_irreducible(p)]
+
+
+@st.composite
+def defining_sets(draw):
+    """Defining sets over GF(2^m), m = 1..10, under any irreducible modulus:
+    sets, multisets, sets containing 0, and multisets inside a subspace of
+    dimension below m (rank-deficient; dimension 0 gives the zero code)."""
+    m = draw(st.integers(1, 10))
+    fld = field(m, draw(st.sampled_from(irreducibles(m))))
+    q = fld.order
+    kind = draw(st.sampled_from(["set", "multiset", "with_zero", "subspace"]))
+    if kind == "subspace":
+        gens = draw(st.lists(st.integers(1, q - 1), max_size=m - 1))
+        masks = draw(st.lists(st.integers(0, (1 << len(gens)) - 1), min_size=1, max_size=48))
+        values = [functools.reduce(operator.xor,
+                                   (g for j, g in enumerate(gens) if mask >> j & 1), 0)
+                  for mask in masks]
+    elif kind == "multiset":
+        values = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=48))
+        values.append(values[0])
+    else:
+        values = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=48,
+                               unique=True))
+        if kind == "with_zero":
+            values.insert(draw(st.integers(0, len(values))), 0)
+    return DefiningSet(fld, values)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(defining_sets(), st.data())
+def test_extract_after_build_is_the_identity_on_columns(ds, data):
+    code = code_from_defining_set(ds)
+    zeros = [v == 0 for v in ds.values]
+    assert [c == 0 for c in bitmat.transpose(code.rows, code.n)] == zeros
+    if code.k == 0:
+        with pytest.raises(ValueError, match="zero code"):
+            extract_defining_set(code)
+        return
+    k = code.k
+    fld = field(k, data.draw(st.sampled_from(irreducibles(k))))
+    basis = None
+    if data.draw(st.booleans()):
+        words = data.draw(st.lists(st.integers(1, fld.order - 1), min_size=k, max_size=k)
+                          .filter(lambda w: bitmat.rank(w) == k))
+        basis = Basis(tuple(fld.element(w) for w in words))
+    ext = extract_defining_set(code, field=fld, basis=basis)
+    assert ext.field == fld and ext.n == ds.n
+    assert code_from_defining_set(ext) == code
+    assert [v == 0 for v in ext.values] == zeros
 
 
 def test_boolean_from_code_requires_projectivity():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from walshcodes import gf2
+from walshcodes import bitmat, gf2
 from walshcodes.gf2 import (
     Basis,
     FieldMismatchError,
@@ -201,8 +201,6 @@ def test_trace_form_rows_match_direct_products():
         f = field(m)
         rows = f.trace_form_rows
         assert len(rows) == m
-        from walshcodes import bitmat
-
         assert bitmat.rank(list(rows)) == m  # nondegenerate pairing
         for i in range(m):
             for j in range(m):
@@ -225,6 +223,15 @@ def test_trace_coordinates_match_definition_and_are_bijective():
             assert f.trace_coordinates(u ^ v) == f.trace_coordinates(u) ^ w
             seen.add(v)
         assert len({f.trace_coordinates(v) for v in seen}) == len(seen)
+
+
+def test_trace_form_rows_as_a_linear_map_give_trace_coordinates():
+    # the array form code construction uses, against the scalar method
+    for m in range(1, 9):
+        for modulus in (None, max(p for p in range(1 << m, 2 << m) if is_irreducible(p))):
+            f = field(m, modulus)
+            got = bitmat.linear_map(f.trace_form_rows, range(f.order)).tolist()
+            assert got == [f.trace_coordinates(v) for v in range(f.order)]
 
 
 def test_relative_trace_transitivity_and_identity():
