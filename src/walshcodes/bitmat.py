@@ -4,16 +4,25 @@ A matrix is a list of rows; each row is a Python int whose bit j is the
 entry in column j.  Widths are passed explicitly because leading zero
 columns are invisible in the int encoding.
 
-A matrix of at most 32 rows also has a column-word form: a numpy ``uint32``
-array whose entry j has bit i equal to row i, column j.  ``columns`` and
-``rows_of`` convert between the forms with ``np.unpackbits``/``np.packbits``,
-and ``linear_map`` applies a GF(2)-linear map to every column word through one
-xor lookup table per input byte; each is a few numpy passes over the columns.
+Any matrix has a packed-column form, one row of ``ceil(k/8)`` bytes per
+column (``packed_columns``); a matrix of at most 32 rows also has a
+column-word form: a numpy ``uint32`` array whose entry j has bit i equal to
+row i, column j.  ``columns`` and ``rows_of`` convert between the forms with
+``np.unpackbits``/``np.packbits``, and ``linear_map`` applies a GF(2)-linear
+map to every column word through one xor lookup table per input byte; each is
+a few numpy passes over the columns.  ``word_weights`` counts the set bits
+of words held as bytes, in uint8 arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+# uint8 scalars keep every step of word_weights in uint8 under the scalar
+# promotion rules of numpy 1.x and 2.x alike
+_U1, _U2, _U4 = np.uint8(1), np.uint8(2), np.uint8(4)
+_M1, _M2, _M4 = np.uint8(0x55), np.uint8(0x33), np.uint8(0x0F)
 
 
 def parity(word: int) -> int:
@@ -37,27 +46,24 @@ def rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
 
     Returns (pivot_columns, reduced_rows); reduced_rows contains only the
     nonzero rows, ordered by ascending pivot column (column j = bit j).
+    Each incoming row is reduced by the rows kept so far; a nonzero remainder
+    pivots on its lowest set bit and is cleared from the kept rows, so the
+    cost is O(len(rows) * rank) word xors, independent of where pivots fall.
     """
-    work = [r for r in rows if r]
-    pivots = []
-    out = []
-    for col in range(width):
-        mask = 1 << col
-        hit = None
-        for i, r in enumerate(work):
+    masks, kept = [], []  # kept[i] has lowest set bit masks[i], clear in every other row
+    for r in rows:
+        for mask, b in zip(masks, kept):
             if r & mask:
-                hit = i
-                break
-        if hit is None:
-            continue
-        piv = work.pop(hit)
-        work = [r ^ piv if r & mask else r for r in work]
-        out = [r ^ piv if r & mask else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-        if not work:
-            break
-    return pivots, out
+                r ^= b
+        if r:
+            mask = r & -r
+            for i, b in enumerate(kept):
+                if b & mask:
+                    kept[i] = b ^ r
+            masks.append(mask)
+            kept.append(r)
+    order = sorted(range(len(kept)), key=masks.__getitem__)
+    return [masks[i].bit_length() - 1 for i in order], [kept[i] for i in order]
 
 
 def kernel(rows: list[int], width: int) -> list[int]:
@@ -107,18 +113,51 @@ def transpose(rows: list[int], width: int) -> list[int]:
     return out
 
 
+def row_bytes(rows: list[int], n: int) -> np.ndarray:
+    """Rows fitting in n bits as a (len(rows), ceil(n/8)) uint8 array; bit j
+    of a row is bit j % 8 of byte j // 8."""
+    nbytes = (n + 7) // 8
+    return np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                         dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def word_weights(word_bytes: np.ndarray) -> np.ndarray:
+    """Hamming weight of every word of a uint8 array whose axis 0 runs over
+    the bytes of a word.  Each byte's bit count is a three-step SWAR
+    reduction done in place in uint8, so no temporary is wider than the
+    input; the byte counts are summed in the narrowest type that holds 8
+    times the number of bytes."""
+    b = word_bytes >> _U1
+    b &= _M1
+    np.subtract(word_bytes, b, out=b)  # bit pairs hold their counts
+    t = b >> _U2
+    t &= _M2
+    b &= _M2
+    b += t  # nibbles hold their counts
+    np.right_shift(b, _U4, out=t)
+    b += t
+    b &= _M4  # bytes hold their counts
+    nbytes = len(b)
+    return b.sum(axis=0, dtype=np.uint8 if nbytes < 32 else
+                 np.uint16 if nbytes < 8192 else np.uint32)
+
+
+def packed_columns(rows: list[int], n: int) -> np.ndarray:
+    """Columns of a matrix of any number k of rows, each fitting in n bits, as
+    an (n, ceil(k/8)) uint8 array: column j holds bit j of rows[i] at bit
+    i % 8 of byte i // 8."""
+    bits = np.unpackbits(row_bytes(rows, n), axis=1, count=n, bitorder="little")
+    return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+
+
 def columns(rows: list[int], n: int) -> np.ndarray:
     """Column words of a matrix of at most 32 rows, each fitting in n bits:
     entry j of the uint32 result has bit i equal to bit j of rows[i]."""
     k = len(rows)
     if k > 32:
         raise ValueError(f"{k} rows do not fit in 32-bit column words")
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                           dtype=np.uint8).reshape(k, nbytes)
-    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     words = np.zeros((n, 4), dtype=np.uint8)
-    words[:, :(k + 7) // 8] = np.packbits(bits, axis=0, bitorder="little").T
+    words[:, :(k + 7) // 8] = packed_columns(rows, n)
     return words.view("<u4").ravel().astype(np.uint32, copy=False)
 
 

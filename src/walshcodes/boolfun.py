@@ -17,6 +17,7 @@ import functools
 
 import numpy as np
 
+from . import bitmat
 from .gf2 import Field, field as get_field
 
 
@@ -174,17 +175,27 @@ class BooleanFunction:
 
     # -- algebraic normal form ---------------------------------------------------
 
-    def anf(self) -> "Anf":
+    def _moebius(self) -> np.ndarray:
+        """ANF coefficients by the Moebius butterfly: entry x is the
+        coefficient of the monomial whose variables are the set bits of x."""
         a = self.table.copy()
         h = 1
         while h < a.size:
             v = a.reshape(-1, 2 * h)
             v[:, h:] ^= v[:, :h]
             h *= 2
-        return Anf(self.field, frozenset(int(x) for x in np.flatnonzero(a)))
+        return a
+
+    def anf(self) -> "Anf":
+        return Anf(self.field, frozenset(int(x) for x in np.flatnonzero(self._moebius())))
 
     def algebraic_degree(self) -> int:
-        return self.anf().degree()
+        """Largest weight among the nonzero ANF coefficients' indices
+        (anf().degree() without building the monomial set)."""
+        monomials = np.flatnonzero(self._moebius()).astype("<u4")
+        if not monomials.size:
+            return 0
+        return int(bitmat.word_weights(monomials.view(np.uint8).reshape(-1, 4).T).max())
 
     def nonlinearity(self) -> int:
         return self.walsh_transform().nonlinearity()

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from . import bitmat
 from .defining_set import DefiningSet, code_from_defining_set
 from .gf2 import MAX_M, Field, _prime_factors, field as get_field, poly_divmod, poly_mul
@@ -130,8 +132,7 @@ def simplex(k: int) -> BinaryCode:
     """[2^k - 1, k, 2^(k-1)]: columns are all nonzero k-bit words, ascending."""
     if not 2 <= k <= 20:
         raise ValueError(f"simplex needs 2 <= k <= 20, got {k}")
-    cols = list(range(1, 1 << k))
-    return BinaryCode(bitmat.transpose(cols, k), len(cols))
+    return BinaryCode(bitmat.rows_of(np.arange(1, 1 << k, dtype=np.uint32), k), (1 << k) - 1)
 
 
 def macdonald_punctured_simplex(k: int) -> BinaryCode:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -394,7 +395,9 @@ def cmd_openproblems(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="walshcodes",
         description="Binary linear codes from Boolean functions: build, extract, "

@@ -35,12 +35,12 @@ class DefiningSet:
 
     def __init__(self, field, elements):
         self.field = field if isinstance(field, Field) else get_field(int(field))
-        values = tuple(int(e) for e in elements)
+        values = tuple(map(int, elements))
         if not values:
             raise ValueError("defining set must contain at least one element")
-        for v in values:
-            if not 0 <= v < self.field.order:
-                raise ValueError(f"element {v} outside GF(2^{self.field.m})")
+        if min(values) < 0 or max(values) >= self.field.order:
+            v = next(v for v in values if not 0 <= v < self.field.order)
+            raise ValueError(f"element {v} outside GF(2^{self.field.m})")
         self.values = values
 
     @staticmethod
@@ -138,27 +138,13 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     return DefiningSet(fld, vals.tolist())
 
 
-def _projectivity_diagnostic(code: BinaryCode) -> str:
-    _, gen = code.rref()
-    cols = bitmat.transpose(gen, code.n)
-    for j, c in enumerate(cols):
-        if c == 0:
-            return f"generator column {j} is zero"
-    seen = {}
-    for j, c in enumerate(cols):
-        if c in seen:
-            return f"generator columns {seen[c]} and {j} are identical"
-        seen[c] = j
-    return "code is projective"
-
-
 def boolean_from_code(code: BinaryCode, field: Field | None = None,
                       basis: Basis | None = None) -> BooleanFunction:
     """The characteristic function of the extracted defining set (the code
     must be projective so that the set has distinct nonzero elements)."""
     if not code.is_projective():
         raise NotProjectiveError(
-            f"cannot attach a Boolean function: {_projectivity_diagnostic(code)}")
+            f"cannot attach a Boolean function: {code.projectivity_defect()}")
     ds = extract_defining_set(code, field, basis)
     return BooleanFunction.from_support(ds.field, ds.values)
 

@@ -2,18 +2,27 @@
 
 A code keeps the generator rows it was built from verbatim (they may be
 dependent or zero); its dimension k is always the derived GF(2) rank.  Each
-row is an int whose bit j is coordinate j.  Enumeration walks the 2^k
-codewords spanned by the reduced row-echelon basis in Gray-code order, and
-is the oracle the transform-based weight computations are checked against.
+row is an int whose bit j is coordinate j.
+
+The weight distribution is brute force, independent of any transform, and is
+the oracle the transform-based weight computations are checked against.  It
+is counted in blocks: the low echelon rows are expanded by doubling into a
+table of codeword bytes, the remaining rows are walked in Gray-code order
+with one xor offset per block, and each block's weights come from a bytewise
+popcount in uint8 and one ``np.bincount``.  ``codewords`` keeps the scalar
+Gray-code walk over the echelon basis as the reference for that count.  The
+MacWilliams transform evaluates Krawtchouk polynomials by their exact integer
+three-term recurrence.
 """
 
 from __future__ import annotations
 
-from math import comb
+import numpy as np
 
 from . import bitmat
 
 ENUMERATION_LIMIT = 24  # largest rank brute-force enumeration will accept
+BLOCK_BYTES = 1 << 16  # codeword bytes per enumeration block (at least 16 codewords)
 
 
 class BinaryCode:
@@ -33,6 +42,7 @@ class BinaryCode:
         self._basis = tuple(reduced)
         self.k = len(self._basis)
         self._weights = None
+        self._defect = None  # why the code is not projective ("" if it is), once checked
 
     # -- construction ----------------------------------------------------
 
@@ -100,10 +110,21 @@ class BinaryCode:
     def weight_distribution(self) -> dict[int, int]:
         """Exact weight distribution {weight: count} by full enumeration."""
         if self._weights is None:
-            counts = [0] * (self.n + 1)
-            for c in self.codewords():
-                counts[c.bit_count()] += 1
-            self._weights = {w: c for w, c in enumerate(counts) if c}
+            self._enumeration_guard()
+            rows = bitmat.row_bytes(self._basis, self.n)[:, :, None]
+            nbytes = rows.shape[1]
+            low = min(self.k, max(4, (BLOCK_BYTES // nbytes).bit_length() - 1))
+            # block of codewords, byte j of each in row j: the span of the low rows
+            block = np.zeros((nbytes, 1 << low), dtype=np.uint8)
+            for i in range(low):
+                block[:, 1 << i:2 << i] = block[:, :1 << i] ^ rows[i]
+            counts = np.bincount(bitmat.word_weights(block), minlength=self.n + 1)
+            offset = np.zeros((nbytes, 1), dtype=np.uint8)
+            for g in range(1, 1 << (self.k - low)):
+                offset ^= rows[low + (g & -g).bit_length() - 1]
+                counts += np.bincount(bitmat.word_weights(block ^ offset),
+                                      minlength=self.n + 1)
+            self._weights = {w: c for w, c in enumerate(counts.tolist()) if c}
         return dict(self._weights)
 
     def minimum_distance(self) -> int:
@@ -129,8 +150,14 @@ class BinaryCode:
         nonzero, i.e. the dual code has minimum distance at least 3."""
         if self.k == 0:
             raise ValueError("projectivity of the zero code is undefined")
-        cols = bitmat.transpose(self._basis, self.n)
-        return 0 not in cols and len(set(cols)) == self.n
+        if self._defect is None:
+            self._defect = _column_defect(bitmat.packed_columns(self._basis, self.n))
+        return not self._defect
+
+    def projectivity_defect(self) -> str:
+        """The first zero canonical generator column or the first one that
+        repeats an earlier column, or "code is projective"."""
+        return "code is projective" if self.is_projective() else self._defect
 
     def __eq__(self, other):
         return (isinstance(other, BinaryCode)
@@ -150,19 +177,48 @@ def codes_equal(a: BinaryCode, b: BinaryCode) -> bool:
     return a == b
 
 
+def _column_defect(cols: np.ndarray) -> str:
+    """Which of the packed columns is the first zero one, or failing that the
+    first that repeats an earlier one; "" when there is neither."""
+    zero = np.flatnonzero(~cols.any(axis=1))
+    if zero.size:
+        return f"generator column {zero[0]} is zero"
+    _, first, inverse = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+    first_seen = first[inverse.ravel()]
+    repeats = np.flatnonzero(first_seen != np.arange(len(cols)))
+    if repeats.size:
+        j = repeats[0]
+        return f"generator columns {first_seen[j]} and {j} are identical"
+    return ""
+
+
+def krawtchouk(n: int, i: int) -> list[int]:
+    """K_0(i), ..., K_n(i) for length n, by the exact integer recurrence
+    (j+1) K_{j+1} = (n-2i) K_j - (n-j+1) K_{j-1}, K_0 = 1, K_1 = n-2i."""
+    values = [1, n - 2 * i]
+    for j in range(1, n):
+        values.append(((n - 2 * i) * values[j] - (n - j + 1) * values[j - 1]) // (j + 1))
+    return values[:n + 1]
+
+
 def macwilliams_transform(weights: dict[int, int], n: int, k: int) -> dict[int, int]:
     """Weight distribution of the dual of an [n, k] code from that code's own
     distribution, via Krawtchouk sums; all arithmetic is exact."""
+    for i, a_i in weights.items():
+        if not 0 <= i <= n:
+            raise ValueError(f"weight {i} is outside 0..{n}")
+        if a_i < 0:
+            raise ValueError(f"weight {i} has negative count {a_i}")
     total = sum(weights.values())
     if total != 1 << k:
         raise ValueError(f"distribution sums to {total}, expected 2^{k}")
+    acc = [0] * (n + 1)
+    for i, a_i in weights.items():
+        for j, kraw in enumerate(krawtchouk(n, i)):
+            acc[j] += a_i * kraw
     out = {}
-    for j in range(n + 1):
-        acc = 0
-        for i, a_i in weights.items():
-            kraw = sum((-1) ** l * comb(i, l) * comb(n - i, j - l) for l in range(j + 1))
-            acc += a_i * kraw
-        q, r = divmod(acc, 1 << k)
+    for j, s in enumerate(acc):
+        q, r = divmod(s, 1 << k)
         if r or q < 0:
             raise ValueError("distribution is not that of a linear code")
         if q:

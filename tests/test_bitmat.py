@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshcodes import bitmat
 
@@ -18,6 +19,26 @@ def span(rows):
 
 def random_rows(rng, count, width):
     return [rng.randrange(1 << width) for _ in range(count)]
+
+
+def rref_by_column_scan(rows, width):
+    """Reference: walk the columns left to right, pivoting on the first
+    remaining row with a 1 there and clearing that column everywhere."""
+    work = [r for r in rows if r]
+    pivots, out = [], []
+    for col in range(width):
+        mask = 1 << col
+        hit = next((i for i, r in enumerate(work) if r & mask), None)
+        if hit is None:
+            continue
+        piv = work.pop(hit)
+        work = [r ^ piv if r & mask else r for r in work]
+        out = [r ^ piv if r & mask else r for r in out]
+        out.append(piv)
+        pivots.append(col)
+        if not work:
+            break
+    return pivots, out
 
 
 def test_parity_matches_popcount():
@@ -57,6 +78,28 @@ def test_rref_rows_span_same_space_and_are_reduced():
             assert sum((r >> p) & 1 for r in red) == 1
             assert (red[i] >> p) & 1 == 1
             assert red[i] & ((1 << p) - 1) == 0  # pivot is the lowest set bit
+
+
+@st.composite
+def row_lists(draw):
+    """Rows with zero rows, repeated rows, xor combinations, and pivots that
+    arrive late (every row zero on a long low prefix)."""
+    width = draw(st.integers(1, 200))
+    shift = draw(st.integers(0, width - 1)) if draw(st.booleans()) else 0
+    rows = draw(st.lists(st.integers(0, (1 << (width - shift)) - 1), max_size=12))
+    rows = [r << shift for r in rows]
+    extra = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4))
+    for a, b in extra:
+        if rows:
+            rows.append(rows[a % len(rows)] ^ rows[b % len(rows)])
+    return draw(st.permutations(rows + [0] * draw(st.integers(0, 2)))), width
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(row_lists())
+def test_rref_equals_the_column_scanning_reference(case):
+    rows, width = case
+    assert bitmat.rref(rows, width) == rref_by_column_scan(rows, width)
 
 
 def test_rref_is_canonical_for_row_equivalent_inputs():
@@ -150,6 +193,30 @@ def test_columns_and_rows_of_are_inverse_and_agree_with_transpose():
         # and the other way round, from arbitrary column words
         words = np.array(random_rows(rng, n, k), dtype=np.uint32)
         assert np.array_equal(bitmat.columns(bitmat.rows_of(words, k), n), words)
+
+
+def test_packed_columns_agree_with_transpose_for_any_row_count():
+    rng = random.Random(10)
+    for _ in range(200):
+        n = rng.randint(1, 90)
+        k = rng.randint(0, 70)
+        rows = random_rows(rng, k, n)
+        packed = bitmat.packed_columns(rows, n)
+        assert packed.dtype == np.uint8 and packed.shape == (n, (k + 7) // 8)
+        assert [int.from_bytes(c.tobytes(), "little") for c in packed] == \
+            bitmat.transpose(rows, n)
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 31, 32, 33, 8191, 8192])
+def test_word_weights_match_bit_count(nbytes):
+    rng = np.random.default_rng(nbytes)
+    words = rng.integers(0, 256, size=(nbytes, 5), dtype=np.uint8)
+    words[:, 0] = 0xFF  # the heaviest word of this length
+    words[:, 1] = 0
+    weights = bitmat.word_weights(words)
+    expected = [int.from_bytes(words[:, j].tobytes(), "little").bit_count()
+                for j in range(words.shape[1])]
+    assert weights.tolist() == expected  # no overflow at 8 * nbytes
 
 
 def test_columns_rejects_more_than_32_rows():

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshcodes.boolfun import (
     Anf,
@@ -210,6 +211,36 @@ def test_anf_degree_fixtures():
     assert tr.algebraic_degree() == 1
     assert all(m.bit_count() == 1 for m in tr.anf().monomials)
     assert bent_function(f).algebraic_degree() == 2
+
+
+@st.composite
+def truth_tables(draw):
+    """Random, sparse and single-point truth tables (the last has degree m
+    when the point is all ones) for m = 1..10."""
+    m = draw(st.integers(1, 10))
+    q = 1 << m
+    kind = draw(st.sampled_from(["random", "sparse", "point"]))
+    if kind == "random":
+        bits = draw(st.integers(0, (1 << q) - 1))
+        table = [(bits >> x) & 1 for x in range(q)]
+    else:
+        size = 1 if kind == "point" else draw(st.integers(0, 6))
+        support = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+        table = [int(x in support) for x in range(q)]
+    return BooleanFunction(field(m), table)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(truth_tables())
+def test_algebraic_degree_equals_the_anf_degree(fn):
+    assert fn.algebraic_degree() == fn.anf().degree()
+
+
+def test_algebraic_degree_of_the_top_monomial():
+    for m in range(1, 11):
+        q = 1 << m
+        fn = BooleanFunction(field(m), [int(x == q - 1) for x in range(q)])
+        assert fn.algebraic_degree() == m == fn.anf().degree()
 
 
 def test_anf_string_rendering():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from walshcodes.cli import main
+from walshcodes.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +326,26 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err
     assert "Traceback" not in err
+
+
+def test_repeated_calls_on_the_cached_parser_keep_exit_codes_and_usage_errors(capsys):
+    assert _build_parser() is _build_parser()
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "analyze", "simplex:k=3")
+        assert code == 0 and json.loads(out)["parameters"]["n"] == 7
+        assert run_cli(capsys, "analyze", "nonsense:x=1")[0] == 2
+        code, _, err = run_cli(capsys, "verify", "roundtrip", "--trials", "0")
+        assert code == 2 and err == "error: --trials must be at least 1, got 0\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "simplex:k=3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "verify", "roundtrip", "--trials", "2", "--seed", "4")
+        assert code == 0 and out == "verify roundtrip: ok (seed=4, trials=2)\n"
+        code, out, _ = run_cli(capsys, "verify", "roundtrip", "--trials", "2")
+        assert code == 0 and out == "verify roundtrip: ok (seed=0, trials=2)\n"  # no leak
+        code, out, _ = run_cli(capsys, "analyze", "golay23", "--format", "csv")
+        assert code == 0 and out.startswith("section,key,value\n")
 
 
 # -- process-level entry point -----------------------------------------------------------

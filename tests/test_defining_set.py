@@ -54,6 +54,10 @@ def test_defining_set_validation():
         DefiningSet(f, [])
     with pytest.raises(ValueError):
         DefiningSet(f, [4])
+    for values, bad in (([1, 3, 4, 7, 2], 4), ([0, -1, 9], -1), ([2, 5, -3], 5)):
+        with pytest.raises(ValueError, match=re.escape(f"element {bad} outside GF(2^2)")):
+            DefiningSet(f, values)  # the first offending element is named
+    assert DefiningSet(f, np.array([3, 0, 2])).values == (3, 0, 2)
     with pytest.raises(ValueError):
         DefiningSet(f, [1, 1]).characteristic_function()
     fn = DefiningSet(f, [2, 1]).characteristic_function()

@@ -1,14 +1,22 @@
 """Tests for binary linear codes, checked against subset-combination oracles."""
 
+import functools
 import itertools
+import operator
 import random
+from collections import Counter
+from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from walshcodes import bitmat, catalog, linear_code
 from walshcodes.linear_code import (
     ENUMERATION_LIMIT,
     BinaryCode,
     codes_equal,
+    krawtchouk,
     macwilliams_transform,
     random_spanning_rows,
 )
@@ -171,8 +179,68 @@ def test_macwilliams_matches_direct_dual_enumeration():
 def test_macwilliams_rejects_inconsistent_input():
     with pytest.raises(ValueError):
         macwilliams_transform({0: 1, 1: 2}, 3, 1)  # counts do not sum to 2^k
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weight 5 is outside 0..3"):
         macwilliams_transform({0: 1, 5: 1}, 3, 1)  # weight exceeds length
+    with pytest.raises(ValueError, match="weight -1 is outside 0..3"):
+        macwilliams_transform({0: 1, -1: 1}, 3, 1)
+    with pytest.raises(ValueError, match="weight 2 has negative count -1"):
+        macwilliams_transform({0: 3, 2: -1}, 3, 1)  # sums to 2^k nonetheless
+
+
+def krawtchouk_by_binomial_sum(n, i, j):
+    """Reference: K_j(i) = sum_l (-1)^l C(i, l) C(n - i, j - l)."""
+    return sum((-1) ** l * comb(i, l) * comb(n - i, j - l) for l in range(j + 1))
+
+
+def test_krawtchouk_recurrence_equals_the_binomial_sum():
+    for n in range(0, 21):
+        for i in range(n + 1):
+            assert krawtchouk(n, i) == [krawtchouk_by_binomial_sum(n, i, j)
+                                        for j in range(n + 1)]
+
+
+@st.composite
+def spanning_rows(draw, max_n=64, max_k=12):
+    """Generator rows with zero rows and xor combinations of earlier rows mixed in."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_k))
+    picks = draw(st.lists(st.integers(1, (1 << len(rows)) - 1), max_size=3))
+    rows += [0] * draw(st.integers(0, 2))
+    rows += [functools.reduce(operator.xor, (r for j, r in enumerate(rows) if p >> j & 1), 0)
+             for p in picks]
+    return rows, n
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spanning_rows(max_n=16, max_k=10))
+def test_macwilliams_twice_gives_back_the_distribution(case):
+    rows, n = case
+    code = BinaryCode(rows, n)
+    dist = code.weight_distribution()
+    dual_dist = macwilliams_transform(dist, n, code.k)
+    assert sum(dual_dist.values()) == 1 << (n - code.k)
+    assert macwilliams_transform(dual_dist, n, n - code.k) == dist
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spanning_rows(max_n=150, max_k=13), st.sampled_from([1, 16, 24, 1 << 16]))
+def test_blocked_enumeration_equals_the_gray_code_walk(case, block_bytes):
+    # small blocks put the echelon rows on both sides of the block boundary
+    rows, n = case
+    code = BinaryCode(rows, n)
+    with mock.patch.object(linear_code, "BLOCK_BYTES", block_bytes):
+        dist = code.weight_distribution()
+    assert dist == dict(sorted(Counter(c.bit_count() for c in code.codewords()).items()))
+    assert list(dist) == sorted(dist)
+
+
+def test_blocked_enumeration_beyond_16_bit_weights():
+    rng = random.Random(30)
+    n = 70_001  # more than 65535 bits: the byte counts are summed in uint32
+    rows = [rng.getrandbits(n) for _ in range(3)] + [(1 << n) - 1]
+    code = BinaryCode(rows, n)
+    expected = Counter(c.bit_count() for c in code.codewords())
+    assert code.weight_distribution() == dict(sorted(expected.items()))
 
 
 def test_is_projective_fixtures():
@@ -183,6 +251,56 @@ def test_is_projective_fixtures():
     assert BinaryCode.from_rows(HAMMING_7_4).is_projective()  # dual distance is 4
     with pytest.raises(ValueError):
         BinaryCode([0], 3).is_projective()
+
+
+def projectivity_by_transpose(code):
+    """Reference: the canonical generator columns as ints, the first zero one,
+    else the first repeat of an earlier one."""
+    cols = bitmat.transpose(code.rref()[1], code.n)
+    for j, c in enumerate(cols):
+        if c == 0:
+            return False, f"generator column {j} is zero"
+    seen = {}
+    for j, c in enumerate(cols):
+        if c in seen:
+            return False, f"generator columns {seen[c]} and {j} are identical"
+        seen[c] = j
+    return True, "code is projective"
+
+
+@st.composite
+def column_codes(draw):
+    """Codes given by their columns, up to 40 rows, with zero and repeated
+    columns placed anywhere."""
+    k = draw(st.integers(1, 40))
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=80))
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), cols[draw(st.integers(0, len(cols) - 1))])
+    rows = bitmat.transpose(cols, k)
+    if not any(rows):
+        rows[0] = 1
+    return BinaryCode(rows, len(cols))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(column_codes())
+def test_is_projective_equals_the_transpose_definition(code):
+    expected, defect = projectivity_by_transpose(code)
+    assert code.is_projective() is expected
+    assert code.is_projective() is expected  # again, from the cached result
+    assert code.projectivity_defect() == defect
+
+
+@pytest.mark.parametrize("m", [6, 7])
+def test_is_projective_for_more_than_32_rows(m):
+    code = catalog.hamming(m)
+    assert code.k > 32
+    assert projectivity_by_transpose(code) == (True, "code is projective")
+    assert code.is_projective() and code.projectivity_defect() == "code is projective"
+    doubled = BinaryCode([r | r << code.n for r in code.rows], 2 * code.n)
+    defect = f"generator columns 0 and {code.n} are identical"
+    assert projectivity_by_transpose(doubled) == (False, defect)
+    assert not doubled.is_projective() and doubled.projectivity_defect() == defect
 
 
 def test_is_projective_iff_dual_distance_at_least_three():
