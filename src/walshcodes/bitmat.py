@@ -8,10 +8,15 @@ Any matrix has a packed-column form, one row of ``ceil(k/8)`` bytes per
 column (``packed_columns``); a matrix of at most 32 rows also has a
 column-word form: a numpy ``uint32`` array whose entry j has bit i equal to
 row i, column j.  ``columns`` and ``rows_of`` convert between the forms with
-``np.unpackbits``/``np.packbits``, and ``linear_map`` applies a GF(2)-linear
-map to every column word through one xor lookup table per input byte; each is
-a few numpy passes over the columns.  ``word_weights`` counts the set bits
-of words held as bytes, in uint8 arithmetic.
+``np.unpackbits``/``np.packbits``; each is a few numpy passes over the
+columns.  ``word_weights`` counts the set bits of words held as bytes, in
+uint8 arithmetic.
+
+Every GF(2)-linear map on words goes through one kernel: ``span(images)`` is
+the table of all 2^len(images) subset xors of the images, which is the map
+applied to every word of len(images) bits, and ``linear_map`` applies a map
+of up to 32 input bits to an array of words through one ``span`` per input
+byte.
 """
 
 from __future__ import annotations
@@ -27,18 +32,6 @@ _M1, _M2, _M4 = np.uint8(0x55), np.uint8(0x33), np.uint8(0x0F)
 
 def parity(word: int) -> int:
     return word.bit_count() & 1
-
-
-def rank(rows: list[int]) -> int:
-    r = 0
-    basis = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            r += 1
-    return r
 
 
 def rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
@@ -82,25 +75,13 @@ def kernel(rows: list[int], width: int) -> list[int]:
 
 
 def invert(rows: list[int], size: int) -> list[int]:
-    """Inverse of a square bit matrix; raises ValueError if singular."""
-    work = list(rows)
-    aug = [1 << i for i in range(size)]
-    for col in range(size):
-        mask = 1 << col
-        hit = None
-        for i in range(col, size):
-            if work[i] & mask:
-                hit = i
-                break
-        if hit is None:
-            raise ValueError("matrix is singular over GF(2)")
-        work[col], work[hit] = work[hit], work[col]
-        aug[col], aug[hit] = aug[hit], aug[col]
-        for i in range(size):
-            if i != col and work[i] & mask:
-                work[i] ^= work[col]
-                aug[i] ^= aug[col]
-    return aug
+    """Inverse of a square bit matrix whose rows fit in size bits; raises
+    ValueError if singular.  The reduced echelon form of [A | I] is [I | A^-1] exactly when A is
+    invertible, that is when every pivot falls among the columns of A."""
+    pivots, red = rref([r | 1 << (size + i) for i, r in enumerate(rows)], 2 * size)
+    if pivots != list(range(size)):
+        raise ValueError("matrix is singular over GF(2)")
+    return [r >> size for r in red]
 
 
 def transpose(rows: list[int], width: int) -> list[int]:
@@ -177,10 +158,16 @@ def linear_map(images, words) -> np.ndarray:
     words = np.asarray(words, dtype=np.uint32)
     out = np.zeros(words.shape, dtype=np.uint32)
     for base in range(0, len(images), 8):
-        # table[b] = xor of images[base + i] over the set bits i of the byte b
-        chunk = images[base:base + 8]
-        table = np.zeros(1 << len(chunk), dtype=np.uint32)
-        for i, image in enumerate(chunk):
-            table[1 << i:2 << i] = table[:1 << i] ^ np.uint32(image)
+        table = span(images[base:base + 8])
         out ^= table[(words >> np.uint32(base)) & np.uint32(len(table) - 1)]
     return out
+
+
+def span(images) -> np.ndarray:
+    """All subset xors of at most 32-bit images, as a uint32 array of length
+    2^len(images): entry c is the xor of images[i] over the set bits i of c,
+    so it is the GF(2)-linear map sending bit i to images[i], applied to c."""
+    table = np.zeros(1 << len(images), dtype=np.uint32)
+    for i, image in enumerate(images):
+        table[1 << i:2 << i] = table[:1 << i] ^ np.uint32(image)
+    return table

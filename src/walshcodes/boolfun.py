@@ -6,9 +6,11 @@ The Walsh coefficient used throughout pairs points through the field trace,
 
 which matches the coordinate-free convention the code constructions need.
 Since Tr(w*x) equals the dot product (T*w).x for the trace bilinear form T,
-the fast path is a standard fast Walsh--Hadamard butterfly followed by an
-index permutation.  A slow character-matrix evaluation is kept alongside as
-an independent oracle.
+the fast path is a standard fast Walsh--Hadamard butterfly followed by the
+index permutation w -> T*w, which is ``bitmat.span(field.trace_form_rows)``.
+A slow character-matrix evaluation is kept alongside as an independent
+oracle.  The same identity, Tr(a*x) = parity(x & T*a), gives the truth
+tables of ``trace_component`` and ``bent_function`` as array passes.
 """
 
 from __future__ import annotations
@@ -128,9 +130,7 @@ class BooleanFunction:
     # -- serialization: bit i of the hex value is f(i) -------------------------
 
     def to_hex(self) -> str:
-        v = 0
-        for i in np.flatnonzero(self.table):
-            v |= 1 << int(i)
+        v = int.from_bytes(np.packbits(self.table, bitorder="little").tobytes(), "little")
         return format(v, f"0{max(1, self.field.order // 4)}x")
 
     @staticmethod
@@ -151,18 +151,9 @@ class BooleanFunction:
         if self._spectrum is None:
             signs = 1 - 2 * self.table.astype(np.int64)
             _fwht(signs)
-            perm = self._trace_permutation()
-            self._spectrum = WalshSpectrum(self, signs[perm])
+            self._spectrum = WalshSpectrum(
+                self, signs[bitmat.span(self.field.trace_form_rows)])
         return self._spectrum
-
-    def _trace_permutation(self) -> np.ndarray:
-        # perm[w] = T*w built by doubling, so spectrum[w] = fwht[perm[w]]
-        rows = self.field.trace_form_rows
-        perm = np.zeros(self.field.order, dtype=np.int64)
-        for i in range(self.m):
-            half = 1 << i
-            perm[half:2 * half] = perm[:half] ^ rows[i]
-        return perm
 
     def walsh_transform_naive(self) -> "WalshSpectrum":
         """Quadratic-time oracle: explicit character matrix times the sign vector."""
@@ -292,9 +283,11 @@ class Anf:
 
 
 def trace_component(field, a: int) -> BooleanFunction:
-    """The component function x -> Tr(a*x)."""
+    """The component function x -> Tr(a*x) = parity(x & T*a), a linear map
+    of x whose image of bit i is bit i of T*a."""
     field = _as_field(field)
-    return BooleanFunction(field, [field.trace(field.mul(a, x)) for x in range(field.order)])
+    tc = field.trace_coordinates(a)
+    return BooleanFunction(field, bitmat.span([(tc >> i) & 1 for i in range(field.m)]))
 
 
 def bent_function(field) -> BooleanFunction:
@@ -311,9 +304,13 @@ def bent_function(field) -> BooleanFunction:
     h = m // 2
     lam = next(v for v in range(1, field.order)
                if field.relative_trace_raw(v, h) != 0)
-    e = (1 << h) + 1
-    return BooleanFunction(
-        field, [field.trace(field.mul(lam, field.pow(x, e))) for x in range(field.order)])
+    # Tr(lambda * x^(2^h) * x) = parity(x & M*x), where M*x = T*(lambda * x^(2^h))
+    # is GF(2)-linear in x because the Frobenius map is
+    images = [field.trace_coordinates(field.mul(lam, field.pow(1 << i, 1 << h)))
+              for i in range(m)]
+    xs = np.arange(field.order, dtype="<u4")
+    xs &= bitmat.span(images)
+    return BooleanFunction(field, bitmat.word_weights(xs.view(np.uint8).reshape(-1, 4).T) & 1)
 
 
 def random_function(field, rng, balanced: bool = False) -> BooleanFunction:

@@ -145,11 +145,11 @@ def macdonald_punctured_simplex(k: int) -> BinaryCode:
 
 
 def hamming(m: int) -> BinaryCode:
-    """[2^m - 1, 2^m - 1 - m, 3]: null space of the all-nonzero-columns check matrix."""
+    """[2^m - 1, 2^m - 1 - m, 3]: the dual of the simplex code, whose columns
+    are all nonzero m-bit words."""
     if not 3 <= m <= 12:
         raise ValueError(f"hamming needs 3 <= m <= 12, got {m}")
-    checks = simplex(m).rows
-    return BinaryCode(bitmat.kernel(checks, (1 << m) - 1), (1 << m) - 1)
+    return simplex(m).dual()
 
 
 def reed_muller(ell: int, m: int) -> BinaryCode:

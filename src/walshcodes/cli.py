@@ -33,8 +33,6 @@ from .gf2 import MAX_M, field as get_field
 from .linear_code import (ENUMERATION_LIMIT, BinaryCode, codes_equal,
                           macwilliams_transform, random_spanning_rows)
 
-HARD_CAP = ENUMERATION_LIMIT
-
 
 class UsageError(ValueError):
     """Bad input from the command line (exit code 2)."""
@@ -100,20 +98,18 @@ def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool
                                 "verdict": "SKIPPED"},
         "notes": [],
     }
-    if code.k <= max_k:
-        dist = code.weight_distribution()
-        report["parameters"]["d"] = min((w for w in dist if w), default=None)
-        report["weight_distribution"]["bruteforce"] = \
-            {str(w): c for w, c in sorted(dist.items())}
-    elif code.n - code.k <= max_k:
-        dual_dist = code.dual().weight_distribution()
-        dist = macwilliams_transform(dual_dist, code.n, code.n - code.k)
-        report["parameters"]["d"] = min((w for w in dist if w), default=None)
-        report["weight_distribution"]["bruteforce"] = \
-            {str(w): c for w, c in sorted(dist.items())}
-        report["notes"].append("distribution computed from the dual (k above guard)")
-    else:
+    if code.k > max_k and code.n - code.k > max_k:
         report["notes"].append(f"enumeration skipped: k={code.k} above guard {max_k}")
+    else:
+        if code.k <= max_k:
+            dist = code.weight_distribution()
+        else:
+            dist = macwilliams_transform(code.dual().weight_distribution(),
+                                         code.n, code.n - code.k)
+            report["notes"].append("distribution computed from the dual (k above guard)")
+        report["parameters"]["d"] = min((w for w in dist if w), default=None)
+        report["weight_distribution"]["bruteforce"] = \
+            {str(w): c for w, c in sorted(dist.items())}
 
     report["projective"] = code.is_projective()
 
@@ -320,7 +316,7 @@ def _verify_catalog(rng, trials: int) -> list[str]:
     for c_name in ("simplex:k=4", "macdonald:k=4", "hamming:m=4", "rm:l=1,m=4",
                    "bch:n=15,d=5", "qr:n=17", "golay23"):
         c = catalog.build_from_name(c_name)
-        dual_ok = c.n - c.k <= HARD_CAP
+        dual_ok = c.n - c.k <= ENUMERATION_LIMIT
         if dual_ok:
             check(f"{c_name} projectivity vs dual distance",
                   c.is_projective() == (c.dual().minimum_distance() >= 3
@@ -408,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
         "--trials": dict(type=int, help="number of randomized cases (suite-specific default)"),
         "--out": dict(help="output file (or directory)"),
-        "--max-k": dict(dest="max_k", type=int, default=HARD_CAP,
-                        help=f"enumeration guard (hard cap {HARD_CAP})"),
+        "--max-k": dict(dest="max_k", type=int, default=ENUMERATION_LIMIT,
+                        help=f"enumeration guard (hard cap {ENUMERATION_LIMIT})"),
         "--format": dict(choices=("json", "csv"), default="json"),
     }
 
@@ -447,8 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_k", HARD_CAP) > HARD_CAP or getattr(args, "max_k", 1) < 1:
-        print(f"error: --max-k must be in [1, {HARD_CAP}]", file=sys.stderr)
+    if not 1 <= getattr(args, "max_k", 1) <= ENUMERATION_LIMIT:
+        print(f"error: --max-k must be in [1, {ENUMERATION_LIMIT}]", file=sys.stderr)
         return 2
     try:
         return args.func(args)

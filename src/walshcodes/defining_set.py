@@ -261,16 +261,10 @@ def bivariate_view(ds: DefiningSet, h: int):
         d2 = emb.down(big.relative_trace_raw(big.mul(d, u[1]), h))
         pairs.append((small.element(d1), small.element(d2)))
 
-    # generator rows of C_E: x runs over the GF(2)-basis of GF(2^h)^2
-    rows = []
-    for side in range(2):
-        for i in range(h):
-            xi = 1 << i
-            row = 0
-            for j, (e1, e2) in enumerate(pairs):
-                term = small.mul((e1, e2)[side].value, xi)
-                row |= small.trace(term) << j
-            rows.append(row)
+    # generator rows of C_E: x runs over the GF(2)-basis of GF(2^h)^2, so each
+    # coordinate contributes the rows of its own code over GF(2^h)
+    rows = [r for side in range(2) for r in code_from_defining_set(
+        DefiningSet(small, [pair[side].value for pair in pairs])).rows]
     code = BinaryCode(rows, ds.n)
     if not codes_equal(code, code_from_defining_set(ds)):
         raise AssertionError("bivariate code disagrees with the direct construction")

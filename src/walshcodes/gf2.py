@@ -436,7 +436,7 @@ class Basis:
             f._check(e)
         if len(self.elements) != f.m:
             raise ValueError(f"basis needs {f.m} elements, got {len(self.elements)}")
-        if bitmat.rank([e.value for e in self.elements]) != f.m:
+        if len(bitmat.rref([e.value for e in self.elements], f.m)[1]) != f.m:
             raise ValueError("basis elements are linearly dependent over GF(2)")
 
     @property
@@ -472,20 +472,14 @@ def dual_basis(basis: Basis) -> Basis:
     f = basis.field
     m = f.m
     vals = [e.value for e in basis.elements]
-    gram = []
-    for i in range(m):
-        row = 0
-        for j in range(m):
-            row |= f.trace(f.mul(vals[i], vals[j])) << j
-        gram.append(row)
+    # Tr(a_i * a_j) = parity(a_i & T*a_j): gram row i is a_i under the linear
+    # map whose image of bit k collects bit k of every T*a_j
+    tc = bitmat.linear_map(f.trace_form_rows, vals).tolist()
+    gram = bitmat.linear_map(bitmat.transpose(tc, m), vals).tolist()
+    # the Gram matrix is symmetric, so its inverse is too: row j of the
+    # inverse holds the coefficients of b_j over the a_k
     cinv = bitmat.invert(gram, m)
-    duals = []
-    for j in range(m):
-        v = 0
-        for k in range(m):
-            if (cinv[k] >> j) & 1:
-                v ^= vals[k]
-        duals.append(FieldElement(f, v))
+    duals = [FieldElement(f, v) for v in bitmat.linear_map(vals, cinv).tolist()]
     out = Basis(tuple(duals))
     for i in range(m):
         for j in range(m):
@@ -525,11 +519,10 @@ class SubfieldEmbedding:
             raise AssertionError("default modulus has no root in subfield")
         self.root = r
         # up[c] = sum over set bits i of c of r^i; bijective on the subfield
-        vals = [0]
-        cur = 1
-        for _ in range(h):
-            vals += [v ^ cur for v in vals]
-            cur = big.mul(cur, r)
+        powers = [1]
+        for _ in range(h - 1):
+            powers.append(big.mul(powers[-1], r))
+        vals = bitmat.span(powers).tolist()
         if len(set(vals)) != 1 << h:  # pragma: no cover
             raise AssertionError("powers of subfield root are dependent")
         self._up = vals

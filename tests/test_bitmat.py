@@ -41,6 +41,18 @@ def rref_by_column_scan(rows, width):
     return pivots, out
 
 
+def rank(rows):
+    """Reference: the number of rows that stay nonzero after reduction by the
+    rows kept before them, each reduced by taking min(row, row ^ b)."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(basis)
+
+
 def test_parity_matches_popcount():
     rng = random.Random(1)
     for _ in range(200):
@@ -53,15 +65,15 @@ def test_rank_matches_span_size():
     for _ in range(300):
         width = rng.randint(1, 10)
         rows = random_rows(rng, rng.randint(0, 6), width)
-        r = bitmat.rank(rows)
-        assert 1 << r == len(span(rows))
+        r = len(bitmat.rref(rows, width)[1])
+        assert 1 << r == len(span(rows)) == 1 << rank(rows)
 
 
 def test_rank_edge_cases():
-    assert bitmat.rank([]) == 0
-    assert bitmat.rank([0, 0]) == 0
-    assert bitmat.rank([1]) == 1
-    assert bitmat.rank([0b11, 0b11]) == 1
+    assert bitmat.rref([], 1) == ([], [])
+    assert bitmat.rref([0, 0], 2) == ([], [])
+    assert bitmat.rref([1], 1) == ([0], [1])
+    assert bitmat.rref([0b11, 0b11], 2) == ([0], [0b11])
 
 
 def test_rref_rows_span_same_space_and_are_reduced():
@@ -71,7 +83,7 @@ def test_rref_rows_span_same_space_and_are_reduced():
         rows = random_rows(rng, rng.randint(0, 6), width)
         pivots, red = bitmat.rref(rows, width)
         assert span(red) == span(rows)
-        assert len(pivots) == len(red) == bitmat.rank(rows)
+        assert len(pivots) == len(red) == rank(rows)
         assert pivots == sorted(pivots)
         for i, p in enumerate(pivots):
             # pivot column: exactly one reduced row has that bit set
@@ -128,7 +140,7 @@ def test_kernel_is_exactly_the_orthogonal_space():
             if all(bitmat.parity(v & r) == 0 for r in rows)
         }
         assert ker == direct
-        assert len(ker) == 1 << (width - bitmat.rank(rows))
+        assert len(ker) == 1 << (width - rank(rows))
 
 
 def test_kernel_of_zero_map_is_everything():
@@ -147,7 +159,7 @@ def test_invert_produces_two_sided_inverse():
     while found < 100:
         size = rng.randint(1, 8)
         rows = random_rows(rng, size, size)
-        if bitmat.rank(rows) != size:
+        if rank(rows) != size:
             continue
         found += 1
         inv = bitmat.invert(rows, size)
@@ -165,6 +177,19 @@ def test_invert_rejects_singular():
         pass
     else:
         raise AssertionError("singular matrix must be rejected")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, (1 << 32) - 1), max_size=12))
+def test_span_is_the_xor_of_the_images_over_the_set_bits(images):
+    table = bitmat.span(images)
+    assert table.dtype == np.uint32 and len(table) == 1 << len(images)
+    for c, got in enumerate(table.tolist()):
+        want = 0
+        for i, image in enumerate(images):
+            if (c >> i) & 1:
+                want ^= image
+        assert got == want
 
 
 def test_transpose_swaps_indices():

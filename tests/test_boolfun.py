@@ -15,7 +15,7 @@ from walshcodes.boolfun import (
     random_function,
     trace_component,
 )
-from walshcodes.gf2 import field
+from walshcodes.gf2 import field, is_irreducible
 
 
 def naive_walsh(f, fn):
@@ -38,6 +38,19 @@ def naive_anf_coefficients(fn):
         if total:
             coeffs.add(s)
     return coeffs
+
+
+def hex_by_bit_loop(fn):
+    """Reference: OR one bit per support point into an int."""
+    v = 0
+    for i in np.flatnonzero(fn.table):
+        v |= 1 << int(i)
+    return format(v, f"0{max(1, fn.field.order // 4)}x")
+
+
+def moduli(m):
+    """The default modulus of degree m and the largest irreducible one."""
+    return [None, next(p for p in range((2 << m) - 1, 1 << m, -1) if is_irreducible(p))]
 
 
 # -- construction ---------------------------------------------------------------
@@ -83,6 +96,12 @@ def test_hex_round_trip():
         f = field(m)
         for _ in range(20):
             fn = random_function(f, rng)
+            assert BooleanFunction.from_hex(f, fn.to_hex()) == fn
+    for m in (14, 16):
+        f = field(m)
+        for _ in range(3):
+            fn = random_function(f, rng)
+            assert fn.to_hex() == hex_by_bit_loop(fn)
             assert BooleanFunction.from_hex(f, fn.to_hex()) == fn
     assert BooleanFunction(field(1), [1, 0]).to_hex() == "1"
     assert BooleanFunction(field(2), [1, 1, 0, 1]).to_hex() == "b"
@@ -345,6 +364,29 @@ def test_bent_functions_have_flat_spectrum():
         assert all(abs(int(v)) == 1 << (m // 2) for v in spec.values)
     with pytest.raises(ValueError):
         bent_function(field(3))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.data())
+def test_trace_component_equals_the_scalar_comprehension(data):
+    for m in range(1, 13):
+        for modulus in moduli(m):
+            f = field(m, modulus)
+            a = data.draw(st.integers(0, f.order - 1))
+            want = [f.trace(f.mul(a, x)) for x in range(f.order)]
+            assert trace_component(f, a) == BooleanFunction(f, want)
+
+
+def test_bent_function_equals_the_scalar_comprehension():
+    # bent_function has no input but its field, so every case is checked
+    for m in range(2, 13, 2):
+        for modulus in moduli(m):
+            f = field(m, modulus)
+            h = m // 2
+            lam = next(v for v in range(1, f.order) if f.relative_trace_raw(v, h) != 0)
+            e = (1 << h) + 1
+            want = [f.trace(f.mul(lam, f.pow(x, e))) for x in range(f.order)]
+            assert bent_function(f) == BooleanFunction(f, want)
 
 
 def test_random_function_balanced_flag():

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshcodes import bitmat, gf2
 from walshcodes.gf2 import (
@@ -201,7 +202,7 @@ def test_trace_form_rows_match_direct_products():
         f = field(m)
         rows = f.trace_form_rows
         assert len(rows) == m
-        assert bitmat.rank(list(rows)) == m  # nondegenerate pairing
+        assert len(bitmat.rref(rows, m)[1]) == m  # nondegenerate pairing
         for i in range(m):
             for j in range(m):
                 direct = f.trace(f.mul(1 << i, 1 << j))
@@ -280,11 +281,44 @@ def test_dual_basis_involution_on_random_bases():
         f = field(m)
         for _ in range(10):
             vals = [rng.randrange(1, f.order) for _ in range(m)]
-            if bitmat.rank(vals) != m:
+            if len(bitmat.rref(vals, m)[1]) != m:
                 continue
             basis = Basis(tuple(f.element(v) for v in vals))
             dual = basis.dual()
             assert [e.value for e in dual.dual()] == vals
+
+
+def dual_by_gram_loops(f, vals):
+    """Reference: the Gram matrix by m^2 scalar mul+trace calls, inverted,
+    and each dual element recombined bit by bit."""
+    m = f.m
+    gram = []
+    for i in range(m):
+        row = 0
+        for j in range(m):
+            row |= f.trace(f.mul(vals[i], vals[j])) << j
+        gram.append(row)
+    cinv = bitmat.invert(gram, m)
+    duals = []
+    for j in range(m):
+        v = 0
+        for k in range(m):
+            if (cinv[k] >> j) & 1:
+                v ^= vals[k]
+        duals.append(v)
+    return duals
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_dual_basis_equals_the_scalar_gram_construction(data):
+    m = data.draw(st.integers(1, 10))
+    largest = next(p for p in range((2 << m) - 1, 1 << m, -1) if is_irreducible(p))
+    f = field(m, data.draw(st.sampled_from([None, largest])))
+    vals = data.draw(st.lists(st.integers(1, f.order - 1), min_size=m, max_size=m)
+                     .filter(lambda w: len(bitmat.rref(w, m)[1]) == m))
+    basis = Basis(tuple(f.element(v) for v in vals))
+    assert [e.value for e in dual_basis(basis)] == dual_by_gram_loops(f, vals)
 
 
 def test_basis_rejects_dependent_or_foreign_elements():
