@@ -194,13 +194,13 @@ def spectral_weight_distribution(f: BooleanFunction) -> SpectralWeightReport:
     spec = f.walsh_transform()
     m = f.m
     t = 2 * n_f + spec.values[1:]
-    bad = (t < 0) | (t % 4 != 0)
+    bad = (t < 0) | (t & 3 != 0)
     if bad.any():
         w = int(np.argmax(bad)) + 1
         raise ValueError(
             f"spectral weight (2*{n_f} + {spec[w]})/4 at w={w} is not a "
             f"nonnegative integer; the weight identity has been violated")
-    multiset = np.bincount(t // 4)
+    multiset = np.bincount(t >> 2)
     multiset[0] += 1  # the x = 0 codeword
     e = int(multiset[0])
     if e & (e - 1):

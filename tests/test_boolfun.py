@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from walshcodes.boolfun import (
     Anf,
     BooleanFunction,
+    _fwht,
     bent_function,
     character_matrix,
     random_function,
@@ -46,6 +47,70 @@ def hex_by_bit_loop(fn):
     for i in np.flatnonzero(fn.table):
         v |= 1 << int(i)
     return format(v, f"0{max(1, fn.field.order // 4)}x")
+
+
+def fwht_by_butterfly(a):
+    """Reference: the in-place radix-2 butterfly, one pass per bit."""
+    h = 1
+    while h < a.size:
+        v = a.reshape(-1, 2 * h)
+        x = v[:, :h].copy()
+        y = v[:, h:].copy()
+        v[:, :h] = x + y
+        v[:, h:] = x - y
+        h *= 2
+    return a
+
+
+def from_hex_by_bit_loop(f, s):
+    """Reference: one shift of the whole int per table entry."""
+    width = max(1, f.order // 4)
+    if len(s) != width:
+        raise ValueError(f"expected {width} hex digits for m={f.m}, got {len(s)}")
+    v = int(s, 16)
+    if v >> f.order:
+        raise ValueError("hex truth table has bits beyond 2^m")
+    return BooleanFunction(f, [(v >> i) & 1 for i in range(f.order)])
+
+
+def from_support_by_set_loop(f, support):
+    """Reference: a Python set, stopping at the first bad point."""
+    table = np.zeros(f.order, dtype=np.uint8)
+    seen = set()
+    for v in support:
+        v = int(v)
+        if not 0 <= v < f.order:
+            raise ValueError(f"support point {v} outside GF(2^{f.m})")
+        if v in seen:
+            raise ValueError(f"duplicate support point {v}; supports are sets")
+        seen.add(v)
+        table[v] = 1
+    return BooleanFunction(f, table)
+
+
+def outcome(build, *args):
+    """The built function, or the ValueError message it raised."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def truth_tables(draw):
+    """Random, sparse and single-point truth tables (the last has degree m
+    when the point is all ones) for m = 1..10."""
+    m = draw(st.integers(1, 10))
+    q = 1 << m
+    kind = draw(st.sampled_from(["random", "sparse", "point"]))
+    if kind == "random":
+        bits = draw(st.integers(0, (1 << q) - 1))
+        table = [(bits >> x) & 1 for x in range(q)]
+    else:
+        size = 1 if kind == "point" else draw(st.integers(0, 6))
+        support = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+        table = [int(x in support) for x in range(q)]
+    return BooleanFunction(field(m), table)
 
 
 def moduli(m):
@@ -88,6 +153,11 @@ def test_from_support_rejects_duplicates_and_outsiders():
         BooleanFunction.from_support(f, [3, 3])
     with pytest.raises(ValueError):
         BooleanFunction.from_support(f, [8])
+    # the first offending point in iteration order is the one named
+    with pytest.raises(ValueError, match="duplicate support point 1;"):
+        BooleanFunction.from_support(f, [1, 1, 8])
+    with pytest.raises(ValueError, match="support point 8 outside"):
+        BooleanFunction.from_support(f, [1, 8, 1])
 
 
 def test_hex_round_trip():
@@ -105,6 +175,33 @@ def test_hex_round_trip():
             assert BooleanFunction.from_hex(f, fn.to_hex()) == fn
     assert BooleanFunction(field(1), [1, 0]).to_hex() == "1"
     assert BooleanFunction(field(2), [1, 1, 0, 1]).to_hex() == "b"
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.data())
+def test_from_hex_equals_the_bit_loop(data):
+    for m in range(1, 17):
+        f = field(m)
+        width = max(1, f.order // 4)
+        # widths one off and, for m <= 2, digits with bits beyond the table
+        width = data.draw(st.sampled_from([width, width, width - 1, width + 1]))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        s = format(rng.getrandbits(4 * width), f"0{width}x")
+        assert outcome(BooleanFunction.from_hex, f, s) == outcome(from_hex_by_bit_loop, f, s)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_from_support_equals_the_set_loop(data):
+    m = data.draw(st.integers(1, 6))
+    f = field(m)
+    q = f.order
+    points = st.integers(0, q - 1)
+    if data.draw(st.booleans()):  # out-of-range, huge and repeated points too
+        points = st.one_of(st.integers(-2, q + 1), st.sampled_from([-2**70, 2**63, 2**70]))
+    support = data.draw(st.lists(points, max_size=q + 2, unique=data.draw(st.booleans())))
+    got = outcome(BooleanFunction.from_support, f, support)
+    assert got == outcome(from_support_by_set_loop, f, support)
 
 
 def test_hex_width_and_validation():
@@ -188,6 +285,36 @@ def test_inversion_identity_reconstructs_the_function():
             assert np.array_equal(signs, 1 - 2 * fn.table.astype(np.int64))
 
 
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_fwht_equals_the_butterfly_on_integers(bits, seed):
+    # m = 1..16 takes one to three digits, with m = 7 and 14 at the digit
+    # boundaries; |a| <= 2^30 keeps every partial sum below 2^46 < 2^53
+    rng = np.random.default_rng(seed)
+    for m in range(1, 17):
+        a = rng.integers(-(1 << bits), (1 << bits) + 1, 1 << m)
+        x = a.astype(np.float64)
+        assert _fwht(x) is x  # in place, whatever the number of digits
+        assert np.array_equal(x, fwht_by_butterfly(a))
+
+
+def test_fwht_is_exact_at_m20():
+    m = 20
+    for support in ([], [0x5A5A5]):
+        signs = np.ones(1 << m, dtype=np.int64)
+        signs[support] = -1
+        assert np.array_equal(_fwht(signs.astype(np.float64)), fwht_by_butterfly(signs))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(truth_tables())
+def test_parseval_and_inversion_identities(fn):
+    signs = 1 - 2 * fn.table.astype(np.int64)
+    spectrum = [int(v) for v in fn.walsh_transform().values]
+    assert sum(v * v for v in spectrum) == 4**fn.m
+    assert np.array_equal(_fwht(_fwht(signs.astype(np.float64))), fn.field.order * signs)
+
+
 def test_spectrum_histogram_and_max_abs():
     f = field(2)
     fn = BooleanFunction(f, [0, 0, 0, 1])
@@ -230,23 +357,6 @@ def test_anf_degree_fixtures():
     assert tr.algebraic_degree() == 1
     assert all(m.bit_count() == 1 for m in tr.anf().monomials)
     assert bent_function(f).algebraic_degree() == 2
-
-
-@st.composite
-def truth_tables(draw):
-    """Random, sparse and single-point truth tables (the last has degree m
-    when the point is all ones) for m = 1..10."""
-    m = draw(st.integers(1, 10))
-    q = 1 << m
-    kind = draw(st.sampled_from(["random", "sparse", "point"]))
-    if kind == "random":
-        bits = draw(st.integers(0, (1 << q) - 1))
-        table = [(bits >> x) & 1 for x in range(q)]
-    else:
-        size = 1 if kind == "point" else draw(st.integers(0, 6))
-        support = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
-        table = [int(x in support) for x in range(q)]
-    return BooleanFunction(field(m), table)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
