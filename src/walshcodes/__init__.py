@@ -14,8 +14,8 @@ from .gf2 import (MAX_M, Basis, Field, FieldElement, FieldMismatchError,
                   is_irreducible)
 from .boolfun import (Anf, BooleanFunction, WalshSpectrum, bent_function,
                       random_function)
-from .linear_code import (ENUMERATION_LIMIT, BinaryCode, codes_equal,
-                          macwilliams_transform, random_spanning_rows)
+from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
+                          random_spanning_rows)
 from .defining_set import (DefiningSet, NotProjectiveError,
                            SpectralWeightReport, bivariate_view,
                            boolean_from_code, code_from_defining_set,
@@ -32,8 +32,7 @@ __all__ = [
     "coordinates", "default_modulus", "dual_basis", "field", "is_irreducible",
     "Anf", "BooleanFunction", "WalshSpectrum", "bent_function",
     "random_function",
-    "ENUMERATION_LIMIT", "BinaryCode", "codes_equal", "macwilliams_transform",
-    "random_spanning_rows",
+    "ENUMERATION_LIMIT", "BinaryCode", "macwilliams_transform", "random_spanning_rows",
     "DefiningSet", "NotProjectiveError", "SpectralWeightReport",
     "bivariate_view", "boolean_from_code", "code_from_defining_set",
     "codeword_weight", "extract_defining_set", "spectral_weight_distribution",

@@ -85,13 +85,8 @@ def invert(rows: list[int], size: int) -> list[int]:
 
 
 def transpose(rows: list[int], width: int) -> list[int]:
-    out = [0] * width
-    for i, r in enumerate(rows):
-        while r:
-            j = (r & -r).bit_length() - 1
-            out[j] |= 1 << i
-            r &= r - 1
-    return out
+    """Column words of rows fitting in width bits: bit i of column j is bit j of rows[i]."""
+    return [int.from_bytes(c.tobytes(), "little") for c in packed_columns(rows, width)]
 
 
 def row_bytes(rows: list[int], n: int) -> np.ndarray:

@@ -74,8 +74,8 @@ def cyclotomic_cosets(n: int) -> tuple[CyclotomicCoset, ...]:
     return tuple(out)
 
 
-def _expand_roots(field: Field, roots) -> list[int]:
-    """Coefficients (ascending degree) of prod (x + r) over the field."""
+def _expand_roots(field: Field, roots) -> Poly2:
+    """prod (x + r) over the field, which must have binary coefficients."""
     coeffs = [1]
     for r in roots:
         nxt = [0] * (len(coeffs) + 1)
@@ -83,7 +83,9 @@ def _expand_roots(field: Field, roots) -> list[int]:
             nxt[i + 1] ^= c
             nxt[i] ^= field.mul(r, c)
         coeffs = nxt
-    return coeffs
+    if max(coeffs) > 1:
+        raise AssertionError("product of (x + r) has a non-binary coefficient")
+    return Poly2(sum(c << i for i, c in enumerate(coeffs)))
 
 
 def minimal_polynomial(field: Field, element) -> Poly2:
@@ -96,13 +98,7 @@ def minimal_polynomial(field: Field, element) -> Poly2:
     while cur not in conjugates:
         conjugates.append(cur)
         cur = field.mul(cur, cur)
-    coeffs = _expand_roots(field, conjugates)
-    word = 0
-    for i, c in enumerate(coeffs):
-        if c > 1:
-            raise AssertionError("conjugate product has a non-binary coefficient")
-        word |= c << i
-    return Poly2(word)
+    return _expand_roots(field, conjugates)
 
 
 def _splitting_field(n: int) -> Field:
@@ -157,13 +153,7 @@ def reed_muller(ell: int, m: int) -> BinaryCode:
     if not 1 <= ell < m <= 12:
         raise ValueError(f"reed_muller needs 1 <= ell < m <= 12, got ell={ell}, m={m}")
     n = 1 << m
-    var = []
-    for i in range(m):
-        block = ((1 << (1 << i)) - 1) << (1 << i)  # x_i = 1 on odd 2^i-blocks
-        v = 0
-        for t in range(n >> (i + 1)):
-            v |= block << (t << (i + 1))
-        var.append(v)
+    var = bitmat.rows_of(np.arange(n, dtype=np.uint32), m)  # bit j of x_i is bit i of j
     masks = sorted(range(n), key=lambda s: (s.bit_count(), s))
     rows = []
     for s in masks:
@@ -223,13 +213,7 @@ def quadratic_residue_code(n: int) -> BinaryCode:
     fld = _splitting_field(n)
     gamma = fld.element_of_order(n).value
     residues = sorted({pow(i, 2, n) for i in range(1, n)})
-    coeffs = _expand_roots(fld, [fld.pow(gamma, r) for r in residues])
-    word = 0
-    for i, c in enumerate(coeffs):
-        if c > 1:
-            raise AssertionError("QR generator has a non-binary coefficient")
-        word |= c << i
-    return _cyclic_code(n, Poly2(word))
+    return _cyclic_code(n, _expand_roots(fld, [fld.pow(gamma, r) for r in residues]))
 
 
 def golay23() -> BinaryCode:
@@ -279,6 +263,8 @@ def build_from_name(spec: str) -> BinaryCode:
             key, eq, val = chunk.partition("=")
             if not eq:
                 raise ValueError(f"malformed parameter {chunk!r} in {spec!r}")
+            if key.strip().lower() in params:
+                raise ValueError(f"parameter {key.strip()!r} repeated in {spec!r}")
             try:
                 params[key.strip().lower()] = int(val)
             except ValueError:

@@ -30,8 +30,8 @@ from .defining_set import (DefiningSet, NotProjectiveError, bivariate_view,
                            extract_defining_set, spectral_weight_distribution,
                            verify_spectral_distribution)
 from .gf2 import MAX_M, field as get_field
-from .linear_code import (ENUMERATION_LIMIT, BinaryCode, codes_equal,
-                          macwilliams_transform, random_spanning_rows)
+from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
+                          random_spanning_rows)
 
 
 class UsageError(ValueError):
@@ -229,7 +229,7 @@ def _verify_roundtrip(rng, trials: int) -> list[str]:
         rows, n = random_spanning_rows(rng)
         code = BinaryCode(rows, n)
         rebuilt = code_from_defining_set(extract_defining_set(code))
-        if not codes_equal(rebuilt, code):
+        if rebuilt != code:
             failures.append(f"case {t}: rebuilt code differs (n={n}, k={code.k})")
     return failures
 
@@ -259,69 +259,55 @@ def _verify_bivariate(rng, trials: int) -> list[str]:
             except AssertionError as exc:
                 failures.append(f"m={m} case {t}: {exc}")
                 continue
-            if not codes_equal(code, code_from_defining_set(ds)):
+            if code != code_from_defining_set(ds):
                 failures.append(f"m={m} case {t}: bivariate code differs")
     return failures
 
 
+# (catalog name, n, k, minimum distance, weight distribution or None)
+CATALOG_FACTS = (
+    [(f"simplex:k={k}", (1 << k) - 1, k, 1 << (k - 1), {0: 1, 1 << (k - 1): (1 << k) - 1})
+     for k in range(2, 11)]
+    + [(f"macdonald:k={k}", (1 << k) - 2, k, (1 << (k - 1)) - 1,
+        {0: 1, (1 << (k - 1)) - 1: 1 << (k - 1), 1 << (k - 1): (1 << (k - 1)) - 1})
+       for k in range(3, 9)]
+    + [(f"hamming:m={m}", (1 << m) - 1, (1 << m) - 1 - m, 3, None) for m in range(3, 9)]
+    + [("rm:l=1,m=3", 8, 4, 4, None), ("rm:l=1,m=4", 16, 5, 8, None),
+       ("bch:n=15,d=5", 15, 7, 5, None), ("bch:n=7,d=3", 7, 4, 3, None),
+       ("qr:n=17", 17, 9, 5, None),
+       ("golay23", 23, 12, 7, {0: 1, 7: 253, 8: 506, 11: 1288,
+                               12: 1288, 15: 506, 16: 253, 23: 1}),
+       ("extended_golay24", 24, 12, 8, None)])
+
+
 def _verify_catalog(rng, trials: int) -> list[str]:
     failures = []
-
-    def check(name, cond):
-        if not cond:
-            failures.append(name)
-
-    for k in range(2, 11):
-        c = catalog.simplex(k)
-        dist = c.weight_distribution()
-        check(f"simplex k={k} parameters",
-              (c.n, c.k) == ((1 << k) - 1, k) and dist == {0: 1, 1 << (k - 1): (1 << k) - 1})
-        check(f"simplex k={k} projective", c.is_projective())
-    for k in range(3, 9):
-        c = catalog.macdonald_punctured_simplex(k)
-        dist = c.weight_distribution()
-        check(f"macdonald k={k} parameters",
-              (c.n, c.k, c.minimum_distance()) == ((1 << k) - 2, k, (1 << (k - 1)) - 1))
-        check(f"macdonald k={k} two weights",
-              set(dist) == {0, (1 << (k - 1)) - 1, 1 << (k - 1)})
-    for m in range(3, 9):
-        c = catalog.hamming(m)
-        check(f"hamming m={m} parameters",
-              (c.n, c.k, c.minimum_distance()) == ((1 << m) - 1, (1 << m) - 1 - m, 3))
-    check("rm(1,3) parameters",
-          (lambda c: (c.n, c.k, c.minimum_distance()) == (8, 4, 4))(catalog.reed_muller(1, 3)))
-    check("rm(1,4) parameters",
-          (lambda c: (c.n, c.k, c.minimum_distance()) == (16, 5, 8))(catalog.reed_muller(1, 4)))
-    check("bch(15,5) generator",
-          catalog.bch_generator_polynomial(15, 5).word == 0b111010001)
-    check("bch(15,5) parameters",
-          (lambda c: (c.n, c.k, c.minimum_distance()) == (15, 7, 5))(catalog.bch_code(15, 5)))
-    check("bch(7,3) parameters",
-          (lambda c: (c.n, c.k, c.minimum_distance()) == (7, 4, 3))(catalog.bch_code(7, 3)))
-    check("qr(17) parameters",
-          (lambda c: (c.n, c.k, c.minimum_distance()) == (17, 9, 5))(catalog.quadratic_residue_code(17)))
-    g23 = catalog.golay23()
-    check("golay23 parameters", (g23.n, g23.k, g23.minimum_distance()) == (23, 12, 7))
-    check("golay23 distribution",
-          g23.weight_distribution() == {0: 1, 7: 253, 8: 506, 11: 1288,
-                                        12: 1288, 15: 506, 16: 253, 23: 1})
-    check("golay23 equals qr(23)", codes_equal(g23, catalog.quadratic_residue_code(23)))
-    g24 = catalog.extended_golay24()
-    check("extended golay parameters", (g24.n, g24.k, g24.minimum_distance()) == (24, 12, 8))
-    check("extended golay self-dual", codes_equal(g24, g24.dual()))
-    code31, ds31 = catalog.irreducible_cyclic(3, 1)
-    sorted31 = code_from_defining_set(DefiningSet.from_support(ds31.field, ds31.values))
-    check("irrcyclic(3,1) is simplex up to column order",
-          codes_equal(sorted31, catalog.simplex(3)))
-    for c_name in ("simplex:k=4", "macdonald:k=4", "hamming:m=4", "rm:l=1,m=4",
-                   "bch:n=15,d=5", "qr:n=17", "golay23"):
-        c = catalog.build_from_name(c_name)
-        dual_ok = c.n - c.k <= ENUMERATION_LIMIT
-        if dual_ok:
-            check(f"{c_name} projectivity vs dual distance",
-                  c.is_projective() == (c.dual().minimum_distance() >= 3
-                                        if c.n - c.k > 0 else False))
-    return failures
+    codes = {}
+    for name, n, k, d, dist in CATALOG_FACTS:
+        c = codes[name] = catalog.build_from_name(name)
+        got = (c.n, c.k, c.minimum_distance())
+        if got != (n, k, d):
+            failures.append(f"{name}: [n, k, d] = {list(got)}, expected {[n, k, d]}")
+        if dist is not None and c.weight_distribution() != dist:
+            failures.append(f"{name}: weight distribution differs")
+    g24 = codes["extended_golay24"]
+    _, ds31 = catalog.irreducible_cyclic(3, 1)
+    checks = [
+        ("bch(15,5) generator", catalog.bch_generator_polynomial(15, 5).word == 0b111010001),
+        ("golay23 equals qr(23)", codes["golay23"] == catalog.quadratic_residue_code(23)),
+        ("extended golay self-dual", g24 == g24.dual()),
+        ("irrcyclic(3,1) is simplex up to column order", catalog.simplex(3)
+         == code_from_defining_set(DefiningSet.from_support(ds31.field, ds31.values))),
+    ]
+    checks += [(f"simplex k={k} projective", codes[f"simplex:k={k}"].is_projective())
+               for k in range(2, 11)]
+    for name in ("simplex:k=4", "macdonald:k=4", "hamming:m=4", "rm:l=1,m=4",
+                 "bch:n=15,d=5", "qr:n=17", "golay23"):
+        c = codes[name]
+        if c.n - c.k <= ENUMERATION_LIMIT:
+            checks.append((f"{name} projectivity vs dual distance", c.is_projective()
+                           == (c.n > c.k and c.dual().minimum_distance() >= 3)))
+    return failures + [name for name, ok in checks if not ok]
 
 
 def cmd_verify(args) -> int:

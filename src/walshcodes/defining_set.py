@@ -21,7 +21,7 @@ import numpy as np
 from . import bitmat
 from .boolfun import BooleanFunction
 from .gf2 import Field, FieldElement, Basis, field as get_field
-from .linear_code import BinaryCode, codes_equal
+from .linear_code import BinaryCode
 
 
 class NotProjectiveError(ValueError):
@@ -85,8 +85,10 @@ class DefiningSet:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DefiningSet":
-        fld = get_field(int(d["m"]), int(d["modulus"], 16))
-        return DefiningSet(fld, [int(e, 16) for e in d["elements"]])
+        elements = d["elements"]
+        if not isinstance(elements, list):
+            raise ValueError(f"elements must be a list of hex strings, got {elements!r}")
+        return DefiningSet(Field.from_json_dict(d), [int(e, 16) for e in elements])
 
 
 def code_from_defining_set(ds: DefiningSet) -> BinaryCode:
@@ -132,7 +134,7 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     # Tr(b_i * v) = parity(b_i & tc(v)), tc the trace coordinates: a linear
     # map of tc(v) whose images are the transposed basis words
     coords = bitmat.linear_map(fld.trace_form_rows, vals)
-    rebuilt = bitmat.linear_map(bitmat.transpose([b.value for b in basis], fld.m), coords)
+    rebuilt = bitmat.linear_map(bitmat.columns([b.value for b in basis], fld.m), coords)
     if bitmat.rows_of(rebuilt, code.k) != list(gen):
         raise AssertionError("extraction failed to reproduce the generator row")
     return DefiningSet(fld, vals.tolist())
@@ -228,10 +230,11 @@ def verify_spectral_distribution(f: BooleanFunction) -> bool:
 
 
 def bivariate_view(ds: DefiningSet, h: int):
-    """Split GF(2^(2h)) as GF(2^h)^2: decompose each d as d = d1*v1 + d2*v2
-    over the relative-trace dual pair {v1, v2} of {1, alpha}, and rebuild the
-    code from the pairs E = [(d1, d2)].  Returns (E, C_E) with C_E equal to
-    the code of the original defining set.
+    """Split GF(2^(2h)) as GF(2^h)^2: map each d to the pair
+    (d1, d2) = (T(d), T(d*alpha)), T the relative trace onto GF(2^h), which
+    are the coordinates of d over the T-dual pair of {1, alpha}, and rebuild
+    the code from the pairs E = [(d1, d2)].  Returns (E, C_E) with C_E equal
+    to the code of the original defining set.
     """
     big = ds.field
     if big.m != 2 * h:
@@ -239,26 +242,11 @@ def bivariate_view(ds: DefiningSet, h: int):
     emb = big.subfield(h)
     small = emb.small
 
-    u = [1, big.alpha.value]
-    gram = [[emb.down(big.relative_trace_raw(big.mul(a, b), h)) for b in u] for a in u]
-    det = small.mul(gram[0][0], gram[1][1]) ^ small.mul(gram[0][1], gram[1][0])
-    if det == 0:  # pragma: no cover - the relative trace form is nondegenerate
-        raise AssertionError("degenerate relative-trace Gram matrix")
-    det_inv = small.inv(det)
-    # 2x2 inverse in characteristic 2: swap the diagonal, keep the rest
-    inv = [[small.mul(det_inv, gram[1][1]), small.mul(det_inv, gram[0][1])],
-           [small.mul(det_inv, gram[1][0]), small.mul(det_inv, gram[0][0])]]
-    v = [emb.lift(inv[0][j]) ^ big.mul(emb.lift(inv[1][j]), u[1]) for j in range(2)]
-    for i in range(2):
-        for j in range(2):
-            rt = big.relative_trace_raw(big.mul(u[i], v[j]), h)
-            if rt != (1 if i == j else 0):
-                raise AssertionError("relative-trace dual pair failed orthonormality")
-
+    alpha = big.alpha.value
     pairs = []
     for d in ds.values:
-        d1 = emb.down(big.relative_trace_raw(big.mul(d, u[0]), h))
-        d2 = emb.down(big.relative_trace_raw(big.mul(d, u[1]), h))
+        d1 = emb.down(big.relative_trace_raw(d, h))
+        d2 = emb.down(big.relative_trace_raw(big.mul(d, alpha), h))
         pairs.append((small.element(d1), small.element(d2)))
 
     # generator rows of C_E: x runs over the GF(2)-basis of GF(2^h)^2, so each
@@ -266,6 +254,6 @@ def bivariate_view(ds: DefiningSet, h: int):
     rows = [r for side in range(2) for r in code_from_defining_set(
         DefiningSet(small, [pair[side].value for pair in pairs])).rows]
     code = BinaryCode(rows, ds.n)
-    if not codes_equal(code, code_from_defining_set(ds)):
+    if code != code_from_defining_set(ds):
         raise AssertionError("bivariate code disagrees with the direct construction")
     return pairs, code

@@ -86,7 +86,7 @@ def is_irreducible(p: int) -> bool:
     """Irreducibility over GF(2): p has no root in GF(2^d) for any proper
     divisor d of deg(p), and x^(2^deg) == x mod p."""
     deg = poly_degree(p)
-    if deg <= 0:
+    if p < 0 or deg <= 0:
         return False
     if deg == 1:
         return True
@@ -132,6 +132,8 @@ class Field:
             raise ValueError(f"extension degree m={m} outside supported range 1..{MAX_M}")
         if modulus is None:
             modulus = default_modulus(m)
+        if modulus < 0:
+            raise ValueError(f"modulus {modulus:#x} is negative")
         if poly_degree(modulus) != m:
             raise ValueError(f"modulus {modulus:#x} does not have degree {m}")
         if not is_irreducible(modulus):
@@ -327,6 +329,7 @@ class Field:
         if e.field != self:
             raise FieldMismatchError(f"element of {e.field!r} used in {self!r}")
 
+    @lru_cache(maxsize=None)
     def polynomial_basis(self) -> "Basis":
         """{1, alpha, ..., alpha^(m-1)}; word encodings are exactly 1 << i."""
         return Basis(tuple(FieldElement(self, 1 << i) for i in range(self.m)))
@@ -340,7 +343,10 @@ class Field:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Field":
-        return field(int(d["m"]), int(d["modulus"], 16))
+        m = d["m"]
+        if type(m) is not int:
+            raise ValueError(f"m must be an integer, got {m!r}")
+        return field(m, int(d["modulus"], 16))
 
 
 @lru_cache(maxsize=None)
@@ -475,7 +481,7 @@ def dual_basis(basis: Basis) -> Basis:
     # Tr(a_i * a_j) = parity(a_i & T*a_j): gram row i is a_i under the linear
     # map whose image of bit k collects bit k of every T*a_j
     tc = bitmat.linear_map(f.trace_form_rows, vals).tolist()
-    gram = bitmat.linear_map(bitmat.transpose(tc, m), vals).tolist()
+    gram = bitmat.linear_map(bitmat.columns(tc, m), vals).tolist()
     # the Gram matrix is symmetric, so its inverse is too: row j of the
     # inverse holds the coefficients of b_j over the a_k
     cinv = bitmat.invert(gram, m)

@@ -170,13 +170,6 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, k={self.k})"
 
 
-def codes_equal(a: BinaryCode, b: BinaryCode) -> bool:
-    """Row-space equality (mutual containment through the echelon bases)."""
-    if a.n != b.n:
-        raise ValueError(f"cannot compare codes of lengths {a.n} and {b.n}")
-    return a == b
-
-
 def _column_defect(cols: np.ndarray) -> str:
     """Which of the packed columns is the first zero one, or failing that the
     first that repeats an earlier one; "" when there is neither."""

@@ -36,7 +36,7 @@ from walshcodes.defining_set import (
     spectral_weight_distribution,
 )
 from walshcodes.gf2 import field
-from walshcodes.linear_code import BinaryCode, codes_equal, random_spanning_rows
+from walshcodes.linear_code import BinaryCode, random_spanning_rows
 
 SPECTRAL_SEED = 1000  # criteria 1 and 3 share these function streams
 TRANSFORM_SEED = 7000  # criteria 7 and 8 share these function streams
@@ -231,7 +231,7 @@ def test_criterion_09_bivariate_codes_match():
             ds = DefiningSet(f, [rng.randrange(f.order) for _ in range(size)])
             pairs, code_e = bivariate_view(ds, m // 2)
             assert len(pairs) == ds.n
-            assert codes_equal(code_e, code_from_defining_set(ds))
+            assert code_e == code_from_defining_set(ds)
             cases += 1
     report(9, time.perf_counter() - t0, 10, f"{cases} defining sets, m in 2/4/6")
 

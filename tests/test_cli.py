@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from walshcodes import catalog
 from walshcodes.cli import _build_parser, main
 
 
@@ -90,9 +91,10 @@ def test_analyze_repeated_column_reports_diagnostic(capsys, tmp_path):
 
 
 def test_analyze_unknown_spec_is_a_usage_error(capsys):
-    code, _, err = run_cli(capsys, "analyze", "simplex:k=0")
-    assert code == 2
-    assert "error:" in err
+    for spec in ("simplex:k=0", "simplex:k=3,k=4"):
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_analyze_all_zero_matrix_is_a_one_line_usage_error(tmp_path):
@@ -181,6 +183,12 @@ def test_build_bad_files(capsys, tmp_path):
     assert run_cli(capsys, "build", str(empty))[0] == 2
     outside = write_ds(tmp_path, {"m": 2, "modulus": "7", "elements": ["5"]})
     assert run_cli(capsys, "build", str(outside))[0] == 2
+    for payload in ({"m": 3, "modulus": "-b", "elements": ["1"]},
+                    {"m": 3, "modulus": "b", "elements": "123"},
+                    {"m": 3.7, "modulus": "b", "elements": ["1"]}):
+        code, out, err = run_cli(capsys, "build", str(write_ds(tmp_path, payload)))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad defining-set file")
 
 
 def test_extract_build_loop_is_stable(capsys, tmp_path):
@@ -250,6 +258,17 @@ def test_verify_rejects_nonpositive_trials(capsys, trials):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: --trials must be at least 1, got {trials}"]
+
+
+def test_verify_catalog_names_a_forged_fault(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "reed_muller", lambda ell, m: catalog.simplex(m))
+    code, out, _ = run_cli(capsys, "verify", "catalog")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL catalog: rm:l=1,m=3: [n, k, d] = [7, 3, 4], expected [8, 4, 4]",
+        "FAIL catalog: rm:l=1,m=4: [n, k, d] = [15, 4, 8], expected [16, 5, 8]",
+    ]
+    assert out.endswith("verify catalog: 2 failure(s) (seed=0, trials=1)\n")
 
 
 def test_verify_is_deterministic_for_a_seed(capsys):

@@ -105,6 +105,9 @@ def test_field_rejects_bad_parameters():
         field(3, 0b1111)  # (x+1)(x^2+x+1) is reducible
     with pytest.raises(ValueError):
         field(3, 0b10011)  # degree 4 modulus for m=3
+    with pytest.raises(ValueError):
+        field(3, -0b1011)  # a negative word is no polynomial
+    assert not is_irreducible(-0b1011)
 
 
 def test_gf8_multiplication_fixtures():
@@ -459,6 +462,9 @@ def test_field_json_round_trip():
     custom = field(4, 0b11001)
     assert gf2.Field.from_json_dict(custom.to_json_dict()) == custom
     assert field(4) != custom
+    for bad_m in (3.7, "3", True):  # int() would read the first two as m = 3
+        with pytest.raises(ValueError, match="m must be an integer"):
+            gf2.Field.from_json_dict({"m": bad_m, "modulus": "b"})
 
 
 def test_field_factory_caches_instances():
