@@ -5,18 +5,20 @@ The Walsh coefficient used throughout pairs points through the field trace,
     W_f(w) = sum over x of (-1)^(f(x) + Tr(w*x)),
 
 which matches the coordinate-free convention the code constructions need.
-Since Tr(w*x) equals the dot product (T*w).x for the trace bilinear form T,
-the fast path is a Walsh--Hadamard transform over GF(2)^m followed by the
-index permutation w -> T*w, which is ``bitmat.span(field.trace_form_rows)``.
-The transform uses the Kronecker factorisation
+Since Tr(w*x) equals the dot product w.(T*x) for the trace bilinear form T,
+which is symmetric and invertible, substituting y = T*x gives
+W_f(w) = sum over y of (-1)^(f(T^-1 y) + w.y): the spectrum is the plain
+Walsh--Hadamard transform over GF(2)^m of the truth table read in the order
+y -> T^-1 y, the inverse of ``bitmat.span(field.trace_form_rows)``, built
+once per field.  The transform uses the Kronecker factorisation
 H_{2^m} = H_{2^w_1} (x) ... (x) H_{2^w_r} with digits of at most 7 bits, so
-it costs one float64 BLAS product per digit (two 128 x 128 products at
-m = 14).  Every partial sum is an integer of magnitude at most 2^m times the
-largest input, far below 2^53, so the result is the exact integer spectrum
-whatever the BLAS summation order or thread count.  A slow character-matrix
-evaluation is kept alongside as an independent oracle.  The same identity,
-Tr(a*x) = parity(x & T*a), gives the truth tables of ``trace_component`` and
-``bent_function`` as array passes.
+it costs one BLAS product per digit (two 128 x 128 products at m = 14).
+``walsh_transform`` runs it in float32: every partial sum is an integer of
+magnitude at most 2^m <= 2^20 < 2^24, so the result is the exact integer
+spectrum whatever the BLAS summation order or thread count.  A slow
+character-matrix evaluation is kept alongside as an independent oracle.  The
+same identity, Tr(a*x) = parity(x & T*a), gives the truth tables of
+``trace_component`` and ``bent_function`` as array passes.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ _DIGIT_BITS = 7
 
 
 @functools.cache
-def _hadamard() -> np.ndarray:
-    """The 128 x 128 Sylvester Hadamard matrix as float64, built on first use;
-    its top-left 2^w x 2^w block is H_{2^w}."""
-    h = np.ones((1, 1))
+def _hadamard(dtype) -> np.ndarray:
+    """The 128 x 128 Sylvester Hadamard matrix in ``dtype``, built on first
+    use; its top-left 2^w x 2^w block is H_{2^w}."""
+    h = np.ones((1, 1), dtype=dtype)
     for _ in range(_DIGIT_BITS):
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
@@ -76,12 +78,13 @@ def _hadamard() -> np.ndarray:
 
 def _fwht(a: np.ndarray) -> np.ndarray:
     """In-place Walsh--Hadamard transform over GF(2)^m (dot-product pairing)
-    of a float64 vector of length 2^m; returns a.
+    of a float32 or float64 vector of length 2^m; returns a.
 
     Bit positions are split into r = ceil(m/7) digits of near-equal width, and
-    each digit is one product with H_{2^w} on its axis of the reshaped vector,
-    written alternately into a and one scratch vector.  Exact for integer
-    inputs while 2^m * max|a| stays below 2^53.
+    each digit is one product with H_{2^w} in a's dtype on its axis of the
+    reshaped vector, written alternately into a and one scratch vector.
+    Exact for integer inputs while 2^m * max|a| stays below 2^24 in float32
+    and 2^53 in float64.
     """
     m = a.size.bit_length() - 1
     r = -(-m // _DIGIT_BITS)
@@ -89,7 +92,7 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     lo = 0
     for i in range(r):
         w = m // r + (i < m % r)
-        h = _hadamard()[:1 << w, :1 << w]
+        h = _hadamard(a.dtype)[:1 << w, :1 << w]
         if lo == 0:
             np.matmul(src.reshape(-1, 1 << w), h, out=dst.reshape(-1, 1 << w))
         else:
@@ -100,6 +103,17 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     if src is not a:
         a[:] = src
     return a
+
+
+@functools.lru_cache(maxsize=16)
+def _walsh_input_order(field: Field) -> np.ndarray:
+    """The index array y -> T^-1 y, the inverse of the permutation
+    ``bitmat.span(field.trace_form_rows)``, as intp (a narrower index is
+    converted on every gather).  Built on a field's first transform."""
+    order = np.empty(field.order, dtype=np.intp)
+    order[bitmat.span(field.trace_form_rows)] = np.arange(field.order)
+    order.setflags(write=False)
+    return order
 
 
 class BooleanFunction:
@@ -152,7 +166,7 @@ class BooleanFunction:
         return [int(v) for v in np.flatnonzero(self.table)]
 
     def weight(self) -> int:
-        return int(self.table.sum())
+        return int(np.count_nonzero(self.table))
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
@@ -189,14 +203,14 @@ class BooleanFunction:
     # -- Walsh spectrum ---------------------------------------------------------
 
     def walsh_transform(self) -> "WalshSpectrum":
-        """Fast transform: the Kronecker-factored Walsh--Hadamard transform of
-        the signs (-1)^f as one float64 BLAS product per 7-bit digit, exact
-        because every partial sum is an integer of magnitude at most 2^m;
-        then reindex by w -> T*w."""
+        """Fast transform: the truth table read in the order y -> T^-1 y, its
+        signs (-1)^f in float32, then the Kronecker-factored Walsh--Hadamard
+        transform as one BLAS product per 7-bit digit.  Exact because every
+        partial sum is an integer of magnitude at most 2^m <= 2^20 < 2^24."""
         if self._spectrum is None:
-            spectrum = _fwht(1.0 - 2.0 * self.table).astype(np.int64)
-            self._spectrum = WalshSpectrum(
-                self, spectrum[bitmat.span(self.field.trace_form_rows)])
+            reindexed = self.table[_walsh_input_order(self.field)].view(np.int8)
+            signs = (1 - 2 * reindexed).astype(np.float32)
+            self._spectrum = WalshSpectrum(self, _fwht(signs))
         return self._spectrum
 
     def walsh_transform_naive(self) -> "WalshSpectrum":
@@ -266,7 +280,7 @@ class WalshSpectrum:
             raise ValueError("spectrum must have one coefficient per field element")
         if int(values @ values) != q * q:
             raise ValueError("spectrum violates the Parseval identity")
-        if (values & 1).any():
+        if np.bitwise_or.reduce(values) & 1:
             raise ValueError("spectrum parity is inconsistent with a sign sum")
         if int(values[0]) != q - 2 * function.weight():
             raise ValueError("spectrum at 0 disagrees with the support size")

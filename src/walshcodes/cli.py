@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -42,10 +43,17 @@ class UsageError(ValueError):
 # Input/output helpers.
 
 def _write_text(path: str, text: str) -> None:
+    """Write through a temporary file and one rename.  A failure is a usage
+    error and leaves no temporary file behind."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -343,7 +351,10 @@ FAMILIES = [
 
 def cmd_openproblems(args) -> int:
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create directory {outdir}: {exc.strerror or exc}") from exc
     all_ok = True
     for number, family, specs in FAMILIES:
         instances = []

@@ -174,6 +174,9 @@ class SpectralWeightReport:
         }
 
 
+_SIGN_AND_LOW_BITS = np.int64(-(1 << 63) | 3)
+
+
 def spectral_weight_distribution(f: BooleanFunction) -> SpectralWeightReport:
     """Weight distribution of the code of f's support, from one Walsh transform.
 
@@ -195,14 +198,16 @@ def spectral_weight_distribution(f: BooleanFunction) -> SpectralWeightReport:
         raise ValueError("the zero function has an empty support and no code")
     spec = f.walsh_transform()
     m = f.m
-    t = 2 * n_f + spec.values[1:]
-    bad = (t < 0) | (t & 3 != 0)
-    if bad.any():
-        w = int(np.argmax(bad)) + 1
+    t = spec.values[1:] + 2 * n_f
+    # some t is negative or not a multiple of 4 iff the or of all of them has
+    # the sign bit or one of the two low bits set
+    if np.bitwise_or.reduce(t) & _SIGN_AND_LOW_BITS:
+        w = int(np.flatnonzero(t & _SIGN_AND_LOW_BITS)[0]) + 1
         raise ValueError(
             f"spectral weight (2*{n_f} + {spec[w]})/4 at w={w} is not a "
             f"nonnegative integer; the weight identity has been violated")
-    multiset = np.bincount(t >> 2)
+    t >>= 2
+    multiset = np.bincount(t)
     multiset[0] += 1  # the x = 0 codeword
     e = int(multiset[0])
     if e & (e - 1):

@@ -18,6 +18,7 @@ from walshcodes.boolfun import (
 )
 from walshcodes.catalog import (
     bch_code,
+    build_from_name,
     extended_golay24,
     golay23,
     hamming,
@@ -35,6 +36,7 @@ from walshcodes.defining_set import (
     extract_defining_set,
     spectral_weight_distribution,
 )
+from walshcodes.cli import CATALOG_FACTS
 from walshcodes.gf2 import field
 from walshcodes.linear_code import BinaryCode, random_spanning_rows
 
@@ -122,29 +124,21 @@ def test_criterion_03_full_rank_and_hyperplane_cases():
 
 def test_criterion_04_catalog_parameters():
     t0 = time.perf_counter()
-    for k in range(2, 11):
-        code = simplex(k)
-        assert (code.n, code.k, code.minimum_distance()) == (
-            (1 << k) - 1, k, 1 << (k - 1))
-    for k in range(3, 9):
-        code = macdonald_punctured_simplex(k)
-        assert (code.n, code.k, code.minimum_distance()) == (
-            (1 << k) - 2, k, (1 << (k - 1)) - 1)
-        nonzero = {w for w in code.weight_distribution() if w}
-        assert nonzero == {1 << (k - 1), (1 << (k - 1)) - 1}
-    for m in range(3, 9):
-        code = hamming(m)
-        assert (code.n, code.k) == ((1 << m) - 1, (1 << m) - 1 - m)
-        assert code.minimum_distance() == 3  # via the dual for m >= 5
-    code = golay23()
-    assert (code.n, code.k, code.minimum_distance()) == (23, 12, 7)
+    distributions = 0
+    for name, n, k, d, dist in CATALOG_FACTS:
+        code = build_from_name(name)
+        # hamming m >= 5 reaches d through the dual and MacWilliams
+        assert (code.n, code.k, code.minimum_distance()) == (n, k, d), name
+        if dist is not None:
+            assert code.weight_distribution() == dist, name
+            distributions += 1
     report(4, time.perf_counter() - t0, 60,
-           "simplex k<=10, macdonald k<=8, hamming m<=8, golay23")
+           f"{len(CATALOG_FACTS)} catalog codes, {distributions} full distributions")
 
 
 def test_criterion_05_golay_distribution_both_routes():
     t0 = time.perf_counter()
-    expected = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
+    expected = next(dist for name, *_, dist in CATALOG_FACTS if name == "golay23")
     code = golay23()
     assert code.weight_distribution() == expected
     fn = boolean_from_code(code)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walshcodes import bitmat
 from walshcodes.boolfun import (
     Anf,
     BooleanFunction,
@@ -60,6 +61,13 @@ def fwht_by_butterfly(a):
         v[:, h:] = x - y
         h *= 2
     return a
+
+
+def walsh_by_output_reindex(fn):
+    """Reference: the transform of the signs (-1)^f(x) over GF(2)^m, by the
+    int64 butterfly, read at w -> T*w, since Tr(w*x) = (T*w).x."""
+    spectrum = fwht_by_butterfly(1 - 2 * fn.table.astype(np.int64))
+    return spectrum[bitmat.span(fn.field.trace_form_rows)]
 
 
 def from_hex_by_bit_loop(f, s):
@@ -254,6 +262,36 @@ def test_fast_transform_matches_character_matrix_oracle():
             assert np.array_equal(fast, slow)
 
 
+def test_fast_transform_matches_character_matrix_oracle_up_to_m12():
+    rng = random.Random(36)
+    try:
+        for m in range(9, 13):
+            for modulus in moduli(m) if m <= 10 else [None]:
+                f = field(m, modulus)
+                for fn in (random_function(f, rng), random_function(f, rng, balanced=True),
+                           BooleanFunction.from_support(f, [f.order - 1])):
+                    fast = fn.walsh_transform().values
+                    assert fast.dtype == np.int64
+                    assert np.array_equal(fast, fn.walsh_transform_naive().values)
+    finally:
+        character_matrix.cache_clear()  # 128 MB at m = 12
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
+def test_fast_transform_equals_the_output_reindex_route(m, largest_modulus, seed):
+    # the fast route reads the table at y -> T^-1 y before a float32 transform;
+    # the reference transforms in int64 first and reads the result at w -> T*w
+    modulus = moduli(m)[1] if largest_modulus and m <= 14 else None
+    f = field(m, modulus)
+    rng = np.random.default_rng(seed)
+    table = rng.random(f.order) < rng.random()
+    fn = BooleanFunction(f, table.astype(np.uint8))
+    values = fn.walsh_transform().values
+    assert values.dtype == np.int64
+    assert np.array_equal(values, walsh_by_output_reindex(fn))
+
+
 def test_naive_transform_guards_large_m():
     f = field(13)
     fn = BooleanFunction(f, [0] * f.order)
@@ -296,6 +334,29 @@ def test_fwht_equals_the_butterfly_on_integers(bits, seed):
         x = a.astype(np.float64)
         assert _fwht(x) is x  # in place, whatever the number of digits
         assert np.array_equal(x, fwht_by_butterfly(a))
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float32_fwht_equals_the_butterfly_on_signs(seed):
+    # m = 1..20 covers one to three digits, with m = 7 and 14 at the digit
+    # boundaries; on +-1 inputs every partial sum is at most 2^20 < 2^24 in
+    # magnitude, and all ones reaches that bound at w = 0
+    rng = np.random.default_rng(seed)
+    for m in range(1, 21):
+        for signs in (1 - 2 * rng.integers(0, 2, 1 << m), np.ones(1 << m, dtype=np.int64)):
+            x = signs.astype(np.float32)
+            assert _fwht(x) is x  # in place, whatever the number of digits
+            assert x.dtype == np.float32
+            assert np.array_equal(x, fwht_by_butterfly(signs))
+
+
+def test_fwht_keeps_float64_input_in_float64():
+    # beyond 2^24 float32 would round; float64 stays exact up to 2^53
+    a = np.full(1 << 10, float((1 << 30) + 1))
+    expected = fwht_by_butterfly(a.astype(np.int64))
+    assert _fwht(a) is a and a.dtype == np.float64
+    assert np.array_equal(a, expected)
 
 
 def test_fwht_is_exact_at_m20():

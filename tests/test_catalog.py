@@ -3,6 +3,7 @@
 import pytest
 
 from walshcodes import gf2
+from walshcodes.cli import CATALOG_FACTS
 from walshcodes.catalog import (
     CyclotomicCoset,
     Poly2,
@@ -29,7 +30,8 @@ from walshcodes.gf2 import field
 
 from test_bitmat import transpose_by_loop
 
-GOLAY_DISTRIBUTION = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
+# the (n, k, d) and weight-distribution facts that `verify catalog` checks
+FACTS = {name: (n, k, d, dist) for name, n, k, d, dist in CATALOG_FACTS}
 
 
 def eval_poly(f, word, elem):
@@ -100,14 +102,24 @@ def test_poly2_arithmetic_and_rendering():
     assert Poly2(0b111010001).degree == 8
 
 
+# -- the fact table ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", FACTS)
+def test_catalog_code_has_its_tabled_parameters(name):
+    n, k, d, dist = FACTS[name]
+    code = build_from_name(name)
+    assert (code.n, code.k, code.minimum_distance()) == (n, k, d)
+    if dist is not None:
+        assert code.weight_distribution() == dist
+
+
 # -- one-weight and two-weight families -------------------------------------------
 
 
 def test_simplex_parameters_and_columns():
     for k in (2, 3, 4, 6):
         code = simplex(k)
-        assert (code.n, code.k) == ((1 << k) - 1, k)
-        assert code.weight_distribution() == {0: 1, 1 << (k - 1): (1 << k) - 1}
         assert code.is_projective()
         cols = transpose_by_loop(code.rows, code.n)
         assert cols == list(range(1, 1 << k))  # ascending column convention
@@ -117,14 +129,9 @@ def test_simplex_parameters_and_columns():
 
 
 def test_macdonald_drops_the_first_simplex_column():
-    code = macdonald_punctured_simplex(3)
-    assert (code.n, code.k) == (6, 3)
-    assert code.weight_distribution() == {0: 1, 3: 4, 4: 3}
-    for k in (4, 5):
+    for k in (3, 4, 5):
         code = macdonald_punctured_simplex(k)
-        dist = code.weight_distribution()
-        assert set(dist) == {0, (1 << (k - 1)) - 1, 1 << (k - 1)}
-        assert code.k == k and code.n == (1 << k) - 2
+        assert transpose_by_loop(code.rows, code.n) == list(range(2, 1 << k))
     with pytest.raises(ValueError):
         macdonald_punctured_simplex(2)
 
@@ -145,22 +152,17 @@ def test_puncturing_any_simplex_column_gives_the_same_distribution():
 
 def test_hamming_parameters_and_duality():
     code = hamming(3)
-    assert (code.n, code.k) == (7, 4)
     assert code.weight_distribution() == {0: 1, 3: 7, 4: 7, 7: 1}
-    assert code.minimum_distance() == 3
     assert code.dual() == simplex(3)
-    assert hamming(4).k == 11 and hamming(4).minimum_distance() == 3
     with pytest.raises(ValueError):
         hamming(2)
 
 
 def test_reed_muller_fixtures():
     code = reed_muller(1, 3)
-    assert (code.n, code.k) == (8, 4)
     assert code.weight_distribution() == {0: 1, 4: 14, 8: 1}
     assert bin(code.rows[0]).count("1") == 8  # constant-one row comes first
     first_order = reed_muller(1, 4)
-    assert (first_order.n, first_order.k) == (16, 5)
     assert first_order.weight_distribution() == {0: 1, 8: 30, 16: 1}
     second = reed_muller(2, 4)
     assert second.k == 11 and second.minimum_distance() == 4
@@ -185,10 +187,6 @@ def test_bch_generator_polynomials():
 
 
 def test_bch_code_parameters():
-    code = bch_code(15, 5)
-    assert (code.n, code.k) == (15, 7)
-    assert code.minimum_distance() == 5
-    assert bch_code(7, 3).k == 4 and bch_code(7, 3).minimum_distance() == 3
     assert bch_code(15, 3).k == 11
     narrow = bch_code(15, 7)
     assert narrow.k == 5 and narrow.minimum_distance() == 7
@@ -206,9 +204,6 @@ def test_quadratic_residue_codes():
     seven = quadratic_residue_code(7)
     assert (seven.n, seven.k) == (7, 4)
     assert seven == bch_code(7, 3)
-    seventeen = quadratic_residue_code(17)
-    assert (seventeen.n, seventeen.k) == (17, 9)
-    assert seventeen.minimum_distance() == 5
     for bad in (11, 9, 2, 131):
         with pytest.raises(ValueError):
             quadratic_residue_code(bad)
@@ -216,17 +211,13 @@ def test_quadratic_residue_codes():
 
 def test_golay23_is_the_qr_code_with_the_known_distribution():
     code = golay23()
-    assert (code.n, code.k) == (23, 12)
-    assert code.minimum_distance() == 7
-    assert code.weight_distribution() == GOLAY_DISTRIBUTION
+    assert code.weight_distribution() == FACTS["golay23"][3]
     assert code == quadratic_residue_code(23)
     assert code.is_projective()
 
 
 def test_extended_golay_is_self_dual():
     code = extended_golay24()
-    assert (code.n, code.k) == (24, 12)
-    assert code.minimum_distance() == 8
     dist = code.weight_distribution()
     assert dist == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
     assert all(w % 4 == 0 for w in dist)
@@ -261,21 +252,13 @@ def test_irreducible_cyclic_defining_set_is_the_power_subgroup():
 
 
 def test_build_from_name_constructs_every_family():
-    cases = {
-        "simplex:k=3": (7, 3),
-        "macdonald:k=3": (6, 3),
-        "hamming:m=3": (7, 4),
-        "rm:l=1,m=3": (8, 4),
-        "bch:n=15,d=5": (15, 7),
-        "qr:n=17": (17, 9),
-        "golay23": (23, 12),
-        "extended_golay24": (24, 12),
-        "golay24": (24, 12),
-        "irrcyclic:m=4,n=5": (3, 2),
-    }
-    for spec, (n, k) in cases.items():
-        code = build_from_name(spec)
-        assert (code.n, code.k) == (n, k), spec
+    # the fact table reaches every other family through build_from_name
+    assert {name.split(":")[0] for name in FACTS} == {
+        "simplex", "macdonald", "hamming", "rm", "bch", "qr", "golay23",
+        "extended_golay24"}
+    assert build_from_name("golay24") == extended_golay24()
+    code = build_from_name("irrcyclic:m=4,n=5")
+    assert (code.n, code.k) == (3, 2)
 
 
 def test_build_from_name_is_case_and_space_tolerant():

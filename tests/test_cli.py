@@ -236,6 +236,30 @@ def test_matrix_file_validation(capsys, tmp_path):
     assert run_cli(capsys, "extract", str(empty))[0] == 2
 
 
+@pytest.mark.parametrize("command,target", [
+    ("analyze", "missing/report.json"),
+    ("build", "missing/gen.txt"),
+    ("extract", "missing/ds.json"),
+    ("analyze", "a_directory"),
+    ("openproblems", "a_file"),
+])
+def test_unwritable_out_is_a_one_line_usage_error(capsys, tmp_path, command, target):
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("kept\n")
+    matrix = tmp_path / "gen.txt"
+    matrix.write_text("110\n011\n")
+    ds = write_ds(tmp_path, {"m": 2, "modulus": "7", "elements": ["1", "2", "3"]})
+    inputs = {"analyze": ["simplex:k=3"], "build": [str(ds)],
+              "extract": [str(matrix)], "openproblems": []}[command]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, command, *inputs, "--out", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(("error: cannot write ", "error: cannot create directory "))
+    assert sorted(tmp_path.rglob("*")) == before  # no temporary file left behind
+    assert (tmp_path / "a_file").read_text() == "kept\n"
+
+
 # -- verify ---------------------------------------------------------------------------
 
 

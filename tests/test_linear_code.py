@@ -165,6 +165,21 @@ def test_dual_of_zero_and_full_codes():
     assert full.dual().k == 0
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 63), max_size=4),
+       st.integers(0, 2))
+def test_dual_of_the_dual_is_the_code(seed, repeats, zero_rows):
+    # random_spanning_rows already appends xor combinations of its rows;
+    # repeated and zero rows make the generator rank-deficient as well
+    rows, n = random_spanning_rows(random.Random(seed), max_k=16, max_n=80)
+    rows += [rows[i % len(rows)] for i in repeats] + [0] * zero_rows
+    code = BinaryCode(rows, n)
+    dual = code.dual()
+    assert dual.k == n - code.k
+    assert all((c & d).bit_count() % 2 == 0 for c in code.rows for d in dual.rows)
+    assert dual.dual() == code
+
+
 def test_macwilliams_matches_direct_dual_enumeration():
     rng = random.Random(26)
     for _ in range(100):
