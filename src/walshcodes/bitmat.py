@@ -59,9 +59,9 @@ def rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
     return [masks[i].bit_length() - 1 for i in order], [kept[i] for i in order]
 
 
-def kernel(rows: list[int], width: int) -> list[int]:
-    """Basis of {v : v . row = 0 for every row}, as bit words of length width."""
-    pivots, red = rref(rows, width)
+def kernel(pivots: list[int], red: list[int], width: int) -> list[int]:
+    """Basis of {v : v . row = 0 for every row}, as bit words of length width,
+    read off the reduced row-echelon form (pivots, red) that ``rref`` returns."""
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
     out = []

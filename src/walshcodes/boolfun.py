@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bitmat
 from .gf2 import Field, field as get_field
@@ -35,29 +36,27 @@ def _as_field(f) -> Field:
     return f if isinstance(f, Field) else get_field(int(f))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def character_matrix(field: Field) -> np.ndarray:
-    """Return the q x q matrix H with H[w, x] = (-1)**Tr(w*x), built by discrete logs.
+    """Return the q x q matrix H with H[w, x] = (-1)**Tr(w*x), indexed by discrete logs.
 
-    The traces come from the sum-of-squares definition, so the matrix is
+    Entry (g^a, g^b) is s[a + b] with s[k] = (-1)**Tr(g^k), so the rows and
+    columns ``exp_table`` hold a sliding window over s; no index matrix is
+    built.  The traces come from the sum-of-squares definition, so the matrix is
     independent of the mask-based fast path and doubles as an oracle both for
     the transform itself and for its inversion identity H @ W_f == q * signs.
+    Only the latest matrix is cached: it takes 8 q^2 bytes, 128 MB at m = 12.
     """
     q = field.order
-    g = field.primitive_element.value
-    logs = np.zeros(q, dtype=np.int64)
-    traces = np.zeros(max(q - 1, 1), dtype=np.int64)
-    cur = 1
-    for s in range(q - 1):
-        logs[cur] = s
-        traces[s] = field.trace_sum_of_squares(cur)
-        cur = field.mul(cur, g)
-    h = np.ones((q, q), dtype=np.float64)
-    if q > 2:
-        idx = (logs[1:, None] + logs[None, 1:]) % (q - 1)
-        h[1:, 1:] = 1.0 - 2.0 * traces[idx]
-    else:
-        h[1, 1] = 1.0 - 2.0 * traces[0]
+    exp = field.exp_table
+    traces = np.zeros(q - 1, dtype=np.uint32)
+    k = np.arange(q - 1)
+    for _ in range(field.m):
+        traces ^= exp[k]
+        k = 2 * k % (q - 1)
+    signs = np.tile(1.0 - 2.0 * traces, 2)
+    h = np.ones((q, q))
+    h[np.ix_(exp, exp)] = sliding_window_view(signs, q - 1)[:q - 1]
     h.setflags(write=False)
     return h
 

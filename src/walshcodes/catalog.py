@@ -234,19 +234,12 @@ def extended_golay24() -> BinaryCode:
 
 def irreducible_cyclic(m: int, big_n: int) -> tuple[BinaryCode, DefiningSet]:
     """Code of the defining set {gamma^(N*i)} (the group of N-th powers) for
-    the least primitive gamma of GF(2^m); N must divide 2^m - 1."""
+    the least primitive gamma of GF(2^m), in the order of ``exp_table[::N]``;
+    N must divide 2^m - 1."""
     fld = get_field(m)
     if big_n < 1 or (fld.order - 1) % big_n:
         raise ValueError(f"N={big_n} does not divide 2^{m} - 1 = {fld.order - 1}")
-    n1 = (fld.order - 1) // big_n
-    gamma = fld.primitive_element.value
-    step = fld.pow(gamma, big_n)
-    vals = []
-    cur = 1
-    for _ in range(n1):
-        vals.append(cur)
-        cur = fld.mul(cur, step)
-    ds = DefiningSet(fld, vals)
+    ds = DefiningSet(fld, fld.exp_table[::big_n].tolist())
     return code_from_defining_set(ds), ds
 
 

@@ -77,11 +77,7 @@ class DefiningSet:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.field.m,
-            "modulus": format(self.field.modulus, "x"),
-            "elements": [format(v, "x") for v in self.values],
-        }
+        return {**self.field.to_json_dict(), "elements": [format(v, "x") for v in self.values]}
 
     @staticmethod
     def from_json_dict(d: dict) -> "DefiningSet":
@@ -239,25 +235,23 @@ def bivariate_view(ds: DefiningSet, h: int):
     (d1, d2) = (T(d), T(d*alpha)), T the relative trace onto GF(2^h), which
     are the coordinates of d over the T-dual pair of {1, alpha}, and rebuild
     the code from the pairs E = [(d1, d2)].  Returns (E, C_E) with C_E equal
-    to the code of the original defining set.
+    to the code of the original defining set.  Each side d -> T(d*c),
+    c in {1, alpha}, is GF(2)-linear in d: one ``bitmat.linear_map`` over D.
     """
     big = ds.field
     if big.m != 2 * h:
         raise ValueError(f"bivariate view needs m = 2h, got m={big.m}, h={h}")
     emb = big.subfield(h)
+    sides = [bitmat.linear_map([emb.down(big.relative_trace_raw(big.mul(c, 1 << i), h))
+                                for i in range(big.m)], ds.values).tolist()
+             for c in (1, big.alpha.value)]
     small = emb.small
-
-    alpha = big.alpha.value
-    pairs = []
-    for d in ds.values:
-        d1 = emb.down(big.relative_trace_raw(d, h))
-        d2 = emb.down(big.relative_trace_raw(big.mul(d, alpha), h))
-        pairs.append((small.element(d1), small.element(d2)))
+    pairs = [(small.element(d1), small.element(d2)) for d1, d2 in zip(*sides)]
 
     # generator rows of C_E: x runs over the GF(2)-basis of GF(2^h)^2, so each
     # coordinate contributes the rows of its own code over GF(2^h)
-    rows = [r for side in range(2) for r in code_from_defining_set(
-        DefiningSet(small, [pair[side].value for pair in pairs])).rows]
+    rows = [r for side in sides
+            for r in code_from_defining_set(DefiningSet(small, side)).rows]
     code = BinaryCode(rows, ds.n)
     if code != code_from_defining_set(ds):
         raise AssertionError("bivariate code disagrees with the direct construction")

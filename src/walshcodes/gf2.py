@@ -2,9 +2,11 @@
 
 Field elements are m-bit words: the integer b_{m-1}...b_1 b_0 stands for
 sum b_i * alpha^i, where alpha is the residue class of x modulo the field
-polynomial.  Addition is xor.  The heavy lifting happens on plain ints via
+polynomial.  Addition is xor.  Scalar arithmetic happens on plain ints via
 Field methods; FieldElement is a thin wrapper that carries its field and
-supports operators, which is what the public API hands out.
+supports operators, which is what the public API hands out.  Sets of powers
+of one element are slices of ``Field.exp_table``, the uint32 array of powers
+of the primitive element, built once per field by GF(2)-linear maps.
 
 Also provides the trace machinery this library is built on: absolute and
 relative traces, trace-dual bases, and coordinates with respect to a basis.
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+
+import numpy as np
 
 from . import bitmat
 
@@ -222,12 +225,7 @@ class Field:
 
     def trace_sum_of_squares(self, a: int) -> int:
         """Absolute trace straight from its definition: a + a^2 + ... + a^(2^(m-1))."""
-        acc = 0
-        cur = a
-        for _ in range(self.m):
-            acc ^= cur
-            cur = self.mul(cur, cur)
-        return acc
+        return self.relative_trace_raw(a, 1)
 
     def trace(self, a: int) -> int:
         return (a & self._trace_mask).bit_count() & 1
@@ -301,19 +299,30 @@ class Field:
                 return FieldElement(self, v)
         raise AssertionError("no primitive element found")  # pragma: no cover
 
+    @cached_property
+    def exp_table(self) -> np.ndarray:
+        """Read-only uint32 array of length 2^m - 1 whose entry i is g^i, g the
+        primitive element.  Built by doubling: multiplying by c = g^len is
+        GF(2)-linear, so the next len powers are the ones held so far under the
+        ``bitmat.linear_map`` with images c * alpha^i."""
+        g = self.primitive_element.value
+        table = np.ones(1, dtype=np.uint32)
+        while len(table) < self.order - 1:
+            c = self.mul(int(table[-1]), g)
+            images = [self.mul(c, 1 << i) for i in range(self.m)]
+            rest = table[:self.order - 1 - len(table)]
+            table = np.concatenate([table, bitmat.linear_map(images, rest)])
+        table.setflags(write=False)
+        return table
+
     @lru_cache(maxsize=None)
     def element_of_order(self, n: int) -> "FieldElement":
-        """Least element of exact multiplicative order n; n must divide 2^m - 1."""
+        """Least element of exact multiplicative order n; n must divide 2^m - 1.
+        Those elements are g^((2^m - 1)/n * j) for j < n coprime to n."""
         if n < 1 or (self.order - 1) % n:
             raise ValueError(f"no element of order {n} in GF(2^{self.m})")
-        g = self.pow(self.primitive_element.value, (self.order - 1) // n)
-        best = None
-        cur = 1
-        for j in range(n):
-            if gcd(j, n) == 1 and (best is None or cur < best):
-                best = cur
-            cur = self.mul(cur, g)
-        return FieldElement(self, best)
+        powers = self.exp_table[::(self.order - 1) // n]
+        return FieldElement(self, int(powers[np.gcd(np.arange(n), n) == 1].min()))
 
     # -- subfields ---------------------------------------------------------
 
@@ -505,8 +514,8 @@ def coordinates(x: FieldElement, basis: Basis) -> list[int]:
 class SubfieldEmbedding:
     """Identifies {y in GF(2^m) : y^(2^h) = y} with a standalone GF(2^h).
 
-    The subfield is enumerated through its least generator g of order
-    2^h - 1; the isomorphism sends the least root r (inside the subfield)
+    The subfield is zero and the group of order 2^h - 1, a strided slice of
+    ``exp_table``; the isomorphism sends the least root r (inside the subfield)
     of the default degree-h modulus to the standalone alpha, so words map
     by change of basis {r^i} -> {alpha^i}.
     """
@@ -515,9 +524,8 @@ class SubfieldEmbedding:
         self.big = big
         self.h = h
         self.small = field(h)
-        members = self._members()
         r = None
-        for y in sorted(members):
+        for y in sorted(self._members()):
             if self._eval_small_modulus(y) == 0:
                 r = y
                 break
@@ -535,15 +543,7 @@ class SubfieldEmbedding:
         self._down = {v: c for c, v in enumerate(vals)}
 
     def _members(self) -> list[int]:
-        if self.h == self.big.m:
-            return list(range(self.big.order))
-        g = self.big.element_of_order((1 << self.h) - 1).value
-        out = [0, 1]
-        cur = g
-        while cur != 1:
-            out.append(cur)
-            cur = self.big.mul(cur, g)
-        return out
+        return [0] + self.big.exp_table[::(self.big.order - 1) // ((1 << self.h) - 1)].tolist()
 
     def _eval_small_modulus(self, y: int) -> int:
         p = self.small.modulus

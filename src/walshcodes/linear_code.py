@@ -143,7 +143,7 @@ class BinaryCode:
     # -- duality -------------------------------------------------------------
 
     def dual(self) -> "BinaryCode":
-        return BinaryCode(bitmat.kernel(self._basis, self.n), self.n)
+        return BinaryCode(bitmat.kernel(self._pivots, self._basis, self.n), self.n)
 
     def is_projective(self) -> bool:
         """True when the canonical generator columns are pairwise distinct and

@@ -311,6 +311,18 @@ def test_parseval_and_first_coefficient():
             assert spec[0] == f.order - 2 * fn.weight()
 
 
+def test_character_matrix_entries_are_the_scalar_characters():
+    for m in range(1, 7):
+        for modulus in moduli(m):
+            f = field(m, modulus)
+            h = character_matrix(f)
+            assert h.shape == (f.order, f.order) and not h.flags.writeable
+            expected = [[(-1) ** f.trace(f.mul(w, x)) for x in range(f.order)]
+                        for w in range(f.order)]
+            assert h.tolist() == expected
+    assert character_matrix.cache_info().currsize == 1  # q^2 floats each
+
+
 def test_inversion_identity_reconstructs_the_function():
     rng = random.Random(35)
     for m in (1, 3, 5, 7):

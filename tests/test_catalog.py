@@ -248,6 +248,31 @@ def test_irreducible_cyclic_defining_set_is_the_power_subgroup():
     assert len(ds.values) == 5
 
 
+def irreducible_cyclic_by_loop(m, big_n):
+    """Reference: gamma^(N*i) for i < (2^m - 1)/N, one scalar mul per element."""
+    f = field(m)
+    step = f.pow(f.primitive_element.value, big_n)
+    vals, cur = [], 1
+    for _ in range((f.order - 1) // big_n):
+        vals.append(cur)
+        cur = f.mul(cur, step)
+    return vals
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_irreducible_cyclic_equals_the_scalar_power_loop(m):
+    q1 = (1 << m) - 1
+    for big_n in (n for n in range(1, q1 + 1) if q1 % n == 0):
+        _, ds = irreducible_cyclic(m, big_n)
+        assert list(ds.values) == irreducible_cyclic_by_loop(m, big_n)
+
+
+@pytest.mark.parametrize("m, big_n", [(16, 5), (20, 3)])
+def test_irreducible_cyclic_equals_the_scalar_power_loop_in_large_fields(m, big_n):
+    _, ds = irreducible_cyclic(m, big_n)
+    assert list(ds.values) == irreducible_cyclic_by_loop(m, big_n)
+
+
 # -- name strings --------------------------------------------------------------------
 
 

@@ -539,6 +539,20 @@ def test_bivariate_view_rows_equal_the_scalar_row_loop(data):
     assert list(code.rows) == bivariate_rows_by_loop(pairs, h)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_bivariate_pairs_equal_the_scalar_relative_trace_loop(data):
+    h = data.draw(st.integers(1, 4))
+    f = field(2 * h, data.draw(st.sampled_from(irreducibles(2 * h))))
+    ds = DefiningSet(f, data.draw(st.lists(st.integers(0, f.order - 1),
+                                           min_size=1, max_size=60)))
+    emb, alpha = f.subfield(h), f.alpha.value
+    expected = [(emb.down(f.relative_trace_raw(d, h)),
+                 emb.down(f.relative_trace_raw(f.mul(d, alpha), h))) for d in ds.values]
+    pairs, _ = bivariate_view(ds, h)
+    assert [(d1.value, d2.value) for d1, d2 in pairs] == expected
+
+
 def test_bivariate_view_rejects_odd_degree():
     with pytest.raises(ValueError):
         bivariate_view(DefiningSet(field(3), [1]), 1)

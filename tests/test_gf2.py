@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -382,19 +383,30 @@ def test_primitive_element_is_least_generator():
     assert field(3).primitive_element.value == 2
 
 
+def test_exp_table_lists_the_powers_of_the_primitive_element():
+    for m in range(1, 13):
+        f = field(m)
+        exp, g = f.exp_table, f.primitive_element.value
+        assert exp.dtype == np.uint32 and not exp.flags.writeable
+        assert sorted(exp.tolist()) == list(range(1, f.order))
+        assert exp[0] == 1
+        assert all(f.mul(a, g) == b for a, b in zip(exp.tolist(), exp[1:].tolist()))
+
+
 def test_element_of_order_is_least_with_that_order():
-    for m in (2, 3, 4, 6):
+    for m in range(1, 11):
         f = field(m)
         n_max = f.order - 1
+        # least element of each order, from the scalar order of every element
+        least = {}
+        for v in range(1, f.order):
+            least.setdefault(f.element_order(v), v)
         for n in range(1, n_max + 1):
             if n_max % n:
                 with pytest.raises(ValueError):
                     f.element_of_order(n)
                 continue
-            got = f.element_of_order(n).value
-            assert f.element_order(got) == n
-            for v in range(1, got):
-                assert f.element_order(v) != n
+            assert f.element_of_order(n).value == least[n]
     assert field(4).element_of_order(1).value == 1
 
 
