@@ -11,8 +11,11 @@ W_f(w) = sum over y of (-1)^(f(T^-1 y) + w.y): the spectrum is the plain
 Walsh--Hadamard transform over GF(2)^m of the truth table read in the order
 y -> T^-1 y, the inverse of ``bitmat.span(field.trace_form_rows)``, built
 once per field.  The transform uses the Kronecker factorisation
-H_{2^m} = H_{2^w_1} (x) ... (x) H_{2^w_r} with digits of at most 7 bits, so
-it costs one BLAS product per digit (two 128 x 128 products at m = 14).
+H_{2^m} = H_{2^w_1} (x) ... (x) H_{2^w_r} into r = ceil(m/5) near-equal
+digits of at most 5 bits, one BLAS product per digit, for
+2^m * sum(2^w_i) * 2 flops: 5 + 5 + 4 bits and 2.6 MFLOP at m = 14, a third
+of the 8.4 MFLOP of two 7-bit digits.  The cap comes from a sweep of caps
+3..8 at m = 1..24 (``BENCH_11.json``).
 ``walsh_transform`` runs it in float32: every partial sum is an integer of
 magnitude at most 2^m <= 2^20 < 2^24, so the result is the exact integer
 spectrum whatever the BLAS summation order or thread count.  A slow
@@ -61,13 +64,14 @@ def character_matrix(field: Field) -> np.ndarray:
     return h
 
 
-_DIGIT_BITS = 7
+_DIGIT_BITS = 5
 
 
 @functools.cache
 def _hadamard(dtype) -> np.ndarray:
-    """The 128 x 128 Sylvester Hadamard matrix in ``dtype``, built on first
-    use; its top-left 2^w x 2^w block is H_{2^w}."""
+    """The 32 x 32 Sylvester Hadamard matrix in ``dtype``, built on first
+    use; its top-left 2^w x 2^w block is H_{2^w}, the factor for one digit
+    of w <= 5 bits (the cap measured in ``BENCH_11.json``)."""
     h = np.ones((1, 1), dtype=dtype)
     for _ in range(_DIGIT_BITS):
         h = np.block([[h, h], [h, -h]])
@@ -79,11 +83,15 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     """In-place Walsh--Hadamard transform over GF(2)^m (dot-product pairing)
     of a float32 or float64 vector of length 2^m; returns a.
 
-    Bit positions are split into r = ceil(m/7) digits of near-equal width, and
+    Bit positions are split into r = ceil(m/5) digits of near-equal width, and
     each digit is one product with H_{2^w} in a's dtype on its axis of the
-    reshaped vector, written alternately into a and one scratch vector.
-    Exact for integer inputs while 2^m * max|a| stays below 2^24 in float32
-    and 2^53 in float64.
+    reshaped vector, written alternately into a and one scratch vector.  That
+    is 2^m * sum(2^w_i) * 2 flops.  In the sweep in ``BENCH_11.json`` a cap of
+    5 bits was the fastest, or within 10 % of it, at m = 13, 14 and 16..20 on
+    one and on two BLAS threads; at m = 15 its 5 + 5 + 5 split, which caps 6
+    and 7 share, took 1.5-1.9x cap 4's 4 + 4 + 4 + 3.  Exact for
+    integer inputs while 2^m * max|a| stays at most 2^24 in float32 and 2^53
+    in float64.
     """
     m = a.size.bit_length() - 1
     r = -(-m // _DIGIT_BITS)
@@ -125,7 +133,10 @@ class BooleanFunction:
             raise ValueError(
                 f"truth table must have 2^{self.field.m} = {self.field.order} entries, "
                 f"got {table.size}")
-        if not np.all((table == 0) | (table == 1)):
+        # uint8 input needs one max reduction; others are compared with 0 and
+        # 1 before the cast, which would wrap -1 and 256 and truncate 0.5
+        if not (table.max(initial=0) <= 1 if table.dtype == np.uint8
+                else np.all((table == 0) | (table == 1))):
             raise ValueError("truth table entries must be 0 or 1")
         self.table = table.astype(np.uint8)
         self.table.setflags(write=False)
@@ -204,7 +215,8 @@ class BooleanFunction:
     def walsh_transform(self) -> "WalshSpectrum":
         """Fast transform: the truth table read in the order y -> T^-1 y, its
         signs (-1)^f in float32, then the Kronecker-factored Walsh--Hadamard
-        transform as one BLAS product per 7-bit digit.  Exact because every
+        transform as one BLAS product per digit of at most 5 bits (three at
+        m = 14, 2^m * sum(2^w_i) * 2 = 2.6 MFLOP).  Exact because every
         partial sum is an integer of magnitude at most 2^m <= 2^20 < 2^24."""
         if self._spectrum is None:
             reindexed = self.table[_walsh_input_order(self.field)].view(np.int8)
@@ -277,6 +289,10 @@ class WalshSpectrum:
         q = self.field.order
         if values.shape != (q,):
             raise ValueError("spectrum must have one coefficient per field element")
+        # bounds first: with every |W| <= 2^m <= 2^20 the int64 dot below is
+        # at most 2^(3m) and cannot wrap round to q^2
+        if values.min() < -q or values.max() > q:
+            raise ValueError(f"spectrum coefficient outside [-2^{self.field.m}, 2^{self.field.m}]")
         if int(values @ values) != q * q:
             raise ValueError("spectrum violates the Parseval identity")
         if np.bitwise_or.reduce(values) & 1:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from walshcodes import bitmat
 from walshcodes.boolfun import (
     Anf,
     BooleanFunction,
+    WalshSpectrum,
     _fwht,
     bent_function,
     character_matrix,
@@ -138,6 +140,29 @@ def test_truth_table_validation():
     fn = BooleanFunction(f, [0, 1, 1, 0])
     assert [fn(x) for x in range(4)] == [0, 1, 1, 0]
     assert fn.weight() == 2
+
+
+@pytest.mark.parametrize("bad", [np.array(0.5), np.array(np.nan), np.array(2),
+                                 np.array(-1), np.array(256)],
+                         ids=["half", "nan", "two", "minus-one", "256"])
+def test_truth_table_rejects_entries_other_than_bits(bad):
+    # -1 and 256 in int64 would become 255 and 0 under a uint8 cast; 0.5 and
+    # NaN are not integers at all
+    table = np.zeros(8, dtype=bad.dtype)
+    table[5] = bad
+    with pytest.raises(ValueError, match="^truth table entries must be 0 or 1$"):
+        BooleanFunction(field(3), table)
+
+
+def test_truth_table_accepts_bool_list_and_uint8_and_copies_them():
+    bits = [0, 1, 1, 0, 1, 0, 0, 1]
+    uint8 = np.array(bits, dtype=np.uint8)
+    for table in (np.array(bits, dtype=bool), bits, uint8, np.array(bits)):
+        fn = BooleanFunction(field(3), table)
+        assert fn.table.dtype == np.uint8 and fn.table.tolist() == bits
+    fn = BooleanFunction(field(3), uint8)
+    uint8[0] = 1  # the caller's array is not aliased
+    assert fn(0) == 0
 
 
 def test_truth_table_is_read_only():
@@ -338,7 +363,7 @@ def test_inversion_identity_reconstructs_the_function():
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.integers(0, 30), st.integers(0, 2**32 - 1))
 def test_fwht_equals_the_butterfly_on_integers(bits, seed):
-    # m = 1..16 takes one to three digits, with m = 7 and 14 at the digit
+    # m = 1..16 takes one to four digits, with m = 5, 10 and 15 at the digit
     # boundaries; |a| <= 2^30 keeps every partial sum below 2^46 < 2^53
     rng = np.random.default_rng(seed)
     for m in range(1, 17):
@@ -351,8 +376,8 @@ def test_fwht_equals_the_butterfly_on_integers(bits, seed):
 @settings(derandomize=True, max_examples=5, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_float32_fwht_equals_the_butterfly_on_signs(seed):
-    # m = 1..20 covers one to three digits, with m = 7 and 14 at the digit
-    # boundaries; on +-1 inputs every partial sum is at most 2^20 < 2^24 in
+    # m = 1..20 covers one to four digits, with m = 5, 10, 15 and 20 at the
+    # digit boundaries; on +-1 inputs every partial sum is at most 2^20 < 2^24 in
     # magnitude, and all ones reaches that bound at w = 0
     rng = np.random.default_rng(seed)
     for m in range(1, 21):
@@ -371,6 +396,34 @@ def test_fwht_keeps_float64_input_in_float64():
     assert np.array_equal(a, expected)
 
 
+@pytest.mark.parametrize("m", [21, 24])
+def test_float32_fwht_is_exact_up_to_two_to_the_24(m):
+    # closed forms, no butterfly: all ones give q at w = 0 and 0 elsewhere;
+    # flipping x0 subtracts 2 (-1)^(w.x0).  At m = 24, W(0) is exactly 2^24,
+    # the largest magnitude float32 holds together with every integer below.
+    q = 1 << m
+    x0 = 0x5A5A5A & (q - 1)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        character = np.ones(1, dtype=np.int8)  # (-1)^(w.x0), one bit of w at a time
+        for i in range(m):
+            character = np.concatenate([character, character * (1 - 2 * ((x0 >> i) & 1))])
+        for flipped in (False, True):
+            x = np.ones(q, dtype=np.float32)
+            x[x0] -= 2 * flipped
+            assert _fwht(x) is x
+            assert x[0] == q - 2 * flipped
+            if flipped:
+                assert np.array_equal(x[1:], -2 * character[1:])
+            else:
+                assert not x[1:].any()
+            del x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 << 20
+
+
 def test_fwht_is_exact_at_m20():
     m = 20
     for support in ([], [0x5A5A5]):
@@ -386,6 +439,22 @@ def test_parseval_and_inversion_identities(fn):
     spectrum = [int(v) for v in fn.walsh_transform().values]
     assert sum(v * v for v in spectrum) == 4**fn.m
     assert np.array_equal(_fwht(_fwht(signs.astype(np.float64))), fn.field.order * signs)
+
+
+def test_spectrum_rejects_coefficients_that_wrap_the_parseval_dot():
+    # (2^32)^2 = 2^64 wraps to 0 in an int64 dot, so both would pass Parseval
+    with pytest.raises(ValueError, match=r"outside \[-2\^1, 2\^1\]"):
+        WalshSpectrum(BooleanFunction(field(1), [0, 0]), [2, 1 << 32])
+    f = field(14)
+    fn = trace_component(f, 1)
+    values = fn.walsh_transform().values.copy()
+    w = int(np.flatnonzero(values == 0)[0])
+    values[w] = 1 << 32
+    with pytest.raises(ValueError, match=r"outside \[-2\^14, 2\^14\]"):
+        WalshSpectrum(fn, values)
+    values[w] = -(1 << 14) - 2
+    with pytest.raises(ValueError, match="outside"):
+        WalshSpectrum(fn, values)
 
 
 def test_spectrum_histogram_and_max_abs():
