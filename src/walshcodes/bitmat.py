@@ -15,11 +15,15 @@ uint8 arithmetic.
 Every GF(2)-linear map on words goes through one kernel: ``span(images)`` is
 the table of all 2^len(images) subset xors of the images, which is the map
 applied to every word of len(images) bits, and ``linear_map`` applies a map
-of up to 32 input bits to an array of words through one ``span`` per input
-byte.
+of up to 32 input bits to an array of words through one ``span`` table per
+input byte.  Those tables are built once for each distinct tuple of images
+and kept, read-only, in a bounded least-recently-used cache, so a map applied
+again (the trace form, a dual basis) costs one gather per input byte.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,13 +153,28 @@ def rows_of(cols: np.ndarray, k: int) -> list[int]:
 def linear_map(images, words) -> np.ndarray:
     """The GF(2)-linear map that sends bit i to images[i], applied to every
     word; bits of a word at or above len(images) are ignored.  Both images
-    and words are at most 32 bits wide."""
+    and words are at most 32 bits wide.  The ``span`` table of each input
+    byte is built on the first call for a tuple of images and kept, read-only,
+    in the bounded cache of ``_byte_tables``; a later call with the same
+    images costs one gather per input byte."""
     words = np.asarray(words, dtype=np.uint32)
-    out = np.zeros(words.shape, dtype=np.uint32)
-    for base in range(0, len(images), 8):
-        table = span(images[base:base + 8])
-        out ^= table[(words >> np.uint32(base)) & np.uint32(len(table) - 1)]
+    tables = _byte_tables(tuple(map(int, images)))
+    if not tables:
+        return np.zeros(words.shape, dtype=np.uint32)
+    out = tables[0][words & np.uint32(len(tables[0]) - 1)]
+    for byte, table in enumerate(tables[1:], 1):
+        out ^= table[(words >> np.uint32(8 * byte)) & np.uint32(len(table) - 1)]
     return out
+
+
+@lru_cache(maxsize=128)
+def _byte_tables(images: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The read-only ``span`` table of each run of 8 images (the last run may
+    be shorter); at most 4 KB an entry, so the cache holds at most 512 KB."""
+    tables = tuple(span(images[base:base + 8]) for base in range(0, len(images), 8))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def span(images) -> np.ndarray:

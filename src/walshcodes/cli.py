@@ -71,6 +71,9 @@ def _read_matrix_file(path: str) -> BinaryCode:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise UsageError(f"cannot read matrix file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"bad matrix file {path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
     if not lines:
         raise UsageError(f"matrix file {path} is empty")
     try:
@@ -201,7 +204,10 @@ def cmd_build(args) -> int:
         with open(args.defining_set, encoding="utf-8") as fh:
             data = json.load(fh)
         ds = DefiningSet.from_json_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"bad defining-set file {args.defining_set}: "
+                         f"missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
         raise UsageError(f"bad defining-set file {args.defining_set}: {exc}") from exc
     if ds.is_multiset:
         print("warning: defining set is a multiset (repeated coordinates)",

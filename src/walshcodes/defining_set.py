@@ -112,7 +112,8 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     reproduces the code coordinate-for-coordinate.  The extraction and its
     self-check, which rebuilds every entry G[i][j] = Tr(b_i * d_j), are
     GF(2)-linear maps on the column words of G: O(n) numpy work on top of the
-    k-row ``rref`` the code already holds.
+    k-row ``rref`` the code already holds.  The check compares the rebuilt
+    column words with those of G, which is as strict as comparing rows.
     """
     if code.k == 0:
         raise ValueError("the zero code has no defining set")
@@ -126,12 +127,13 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     else:
         beta = basis.dual()
     _, gen = code.rref()
-    vals = bitmat.linear_map([b.value for b in beta], bitmat.columns(gen, code.n))
+    cols = bitmat.columns(gen, code.n)
+    vals = bitmat.linear_map([b.value for b in beta], cols)
     # Tr(b_i * v) = parity(b_i & tc(v)), tc the trace coordinates: a linear
     # map of tc(v) whose images are the transposed basis words
     coords = bitmat.linear_map(fld.trace_form_rows, vals)
     rebuilt = bitmat.linear_map(bitmat.columns([b.value for b in basis], fld.m), coords)
-    if bitmat.rows_of(rebuilt, code.k) != list(gen):
+    if not np.array_equal(rebuilt, cols):
         raise AssertionError("extraction failed to reproduce the generator row")
     return DefiningSet(fld, vals.tolist())
 

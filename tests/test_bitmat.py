@@ -263,16 +263,71 @@ def test_columns_rejects_more_than_32_rows():
         bitmat.columns([1] * 33, 4)
 
 
+def linear_map_by_bits(images, words):
+    """Reference: xor the images of the set bits of each word, one bit at a
+    time; bits of a word at or above len(images) are ignored."""
+    out = []
+    for w in words:
+        v = 0
+        for i, image in enumerate(images):
+            if (w >> i) & 1:
+                v ^= image
+        out.append(v)
+    return out
+
+
 def test_linear_map_matches_bit_by_bit_xor():
+    """Images given as a list, a tuple or a uint32 array give one result."""
     rng = random.Random(10)
     for _ in range(300):
         images = random_rows(rng, rng.randint(0, 32), 32)
         words = random_rows(rng, rng.randint(0, 20), 32)
+        want = linear_map_by_bits(images, words)
+        for given_images in (images, tuple(images), np.array(images, dtype=np.uint32)):
+            got = bitmat.linear_map(given_images, words)
+            assert got.dtype == np.uint32 and got.tolist() == want
+
+
+def test_linear_map_results_are_fresh_arrays_and_cached_tables_are_read_only():
+    images = [0x9E3779B9, 0x7F4A7C15, 3, 5, 0xDEADBEEF, 1, 2, 4, 8, 0xFFFFFFFF]
+    words = [0, 1, 0x3FF, 0x2AA, 0x155]
+    first = bitmat.linear_map(images, words)
+    first[:] = 0xAAAAAAAA
+    assert bitmat.linear_map(images, words).tolist() == linear_map_by_bits(images, words)
+    tables = bitmat._byte_tables(tuple(images))
+    assert [len(t) for t in tables] == [256, 4]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_span_runs_once_per_distinct_images(monkeypatch):
+    calls = []
+    real_span = bitmat.span
+
+    def counting_span(images):
+        calls.append(tuple(images))
+        return real_span(images)
+
+    monkeypatch.setattr(bitmat, "span", counting_span)
+    bitmat._byte_tables.cache_clear()
+    images = [3, 0x11, 0x80000000, 7, 9, 0x1234, 0x55, 0xF0F0, 1, 2, 6]  # 2 bytes
+    words = np.arange(1 << 11, dtype=np.uint32)
+    want = linear_map_by_bits(images, words.tolist())
+    for given_images in (images, tuple(images), np.array(images, dtype=np.uint32)):
+        assert bitmat.linear_map(given_images, words).tolist() == want
+    assert calls == [tuple(images[:8]), tuple(images[8:])]
+    other = images[:10]
+    bitmat.linear_map(other, words)
+    bitmat.linear_map(other, words[:5])
+    assert calls[2:] == [tuple(other[:8]), tuple(other[8:])]
+
+
+def test_linear_map_with_no_images_is_zero():
+    words = np.array([0, 1, 0xFFFFFFFF], dtype=np.uint32)
+    for images in ([], (), np.array([], dtype=np.uint32)):
         got = bitmat.linear_map(images, words)
-        assert got.dtype == np.uint32
-        for w, g in zip(words, got.tolist()):
-            expected = 0
-            for i, image in enumerate(images):
-                if (w >> i) & 1:
-                    expected ^= image
-            assert g == expected  # bits of w at or above len(images) are ignored
+        assert got.dtype == np.uint32 and got.tolist() == [0, 0, 0]
+        got[0] = 1  # a fresh array, not a shared one
+    assert bitmat.linear_map([], words).tolist() == [0, 0, 0]

@@ -407,3 +407,38 @@ def test_missing_subcommand_exits_2():
         [sys.executable, "-m", "walshcodes.cli"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv,files,expected", [
+    (["analyze", "{dir}/m.txt"], {"m.txt": b"\xff\xfe\n"},
+     "error: bad matrix file {dir}/m.txt: not UTF-8 text (invalid start byte at byte 0)"),
+    (["analyze", "{dir}/ragged.txt"], {"ragged.txt": b"10\n1\n"}, None),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": "13"}'},
+     "error: bad defining-set file {dir}/ds.json: missing key 'elements'"),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"modulus": "13", "elements": ["1"]}'},
+     "error: bad defining-set file {dir}/ds.json: missing key 'm'"),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "elements": ["1"]}'},
+     "error: bad defining-set file {dir}/ds.json: missing key 'modulus'"),
+    (["build", "{dir}/ds.json"], {"ds.json": b"\xff{"}, None),
+    (["extract", "{dir}/m.txt"], {"m.txt": b"\xff\xfe\n"},
+     "error: bad matrix file {dir}/m.txt: not UTF-8 text (invalid start byte at byte 0)"),
+    (["verify", "bivariate", "--trials", "0"], {},
+     "error: --trials must be at least 1, got 0"),
+    (["openproblems", "--max-k", "0"], {}, None),
+], ids=["analyze-not-utf8", "analyze-ragged", "build-no-elements", "build-no-m",
+        "build-no-modulus", "build-not-utf8", "extract-not-utf8", "verify-zero-trials",
+        "openproblems-zero-max-k"])
+def test_bad_input_to_each_subcommand_is_one_error_line_and_exit_2(tmp_path, argv, files,
+                                                                   expected):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "walshcodes.cli", *(a.format(dir=tmp_path) for a in argv)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    if expected is not None:
+        assert lines == [expected.format(dir=tmp_path)]
