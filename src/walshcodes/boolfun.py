@@ -18,9 +18,8 @@ of the 8.4 MFLOP of two 7-bit digits.  The cap comes from a sweep of caps
 3..8 at m = 1..24 (``BENCH_11.json``).
 ``walsh_transform`` runs it in float32: every partial sum is an integer of
 magnitude at most 2^m <= 2^20 < 2^24, so the result is the exact integer
-spectrum whatever the BLAS summation order or thread count.  A slow
-character-matrix evaluation is kept alongside as an independent oracle.  The
-same identity, Tr(a*x) = parity(x & T*a), gives the truth tables of
+spectrum whatever the BLAS summation order or thread count.  The same
+identity, Tr(a*x) = parity(x & T*a), gives the truth tables of
 ``trace_component`` and ``bent_function`` as array passes.
 """
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bitmat
 from .gf2 import Field, field as get_field
@@ -37,31 +35,6 @@ from .gf2 import Field, field as get_field
 
 def _as_field(f) -> Field:
     return f if isinstance(f, Field) else get_field(int(f))
-
-
-@functools.lru_cache(maxsize=1)
-def character_matrix(field: Field) -> np.ndarray:
-    """Return the q x q matrix H with H[w, x] = (-1)**Tr(w*x), indexed by discrete logs.
-
-    Entry (g^a, g^b) is s[a + b] with s[k] = (-1)**Tr(g^k), so the rows and
-    columns ``exp_table`` hold a sliding window over s; no index matrix is
-    built.  The traces come from the sum-of-squares definition, so the matrix is
-    independent of the mask-based fast path and doubles as an oracle both for
-    the transform itself and for its inversion identity H @ W_f == q * signs.
-    Only the latest matrix is cached: it takes 8 q^2 bytes, 128 MB at m = 12.
-    """
-    q = field.order
-    exp = field.exp_table
-    traces = np.zeros(q - 1, dtype=np.uint32)
-    k = np.arange(q - 1)
-    for _ in range(field.m):
-        traces ^= exp[k]
-        k = 2 * k % (q - 1)
-    signs = np.tile(1.0 - 2.0 * traces, 2)
-    h = np.ones((q, q))
-    h[np.ix_(exp, exp)] = sliding_window_view(signs, q - 1)[:q - 1]
-    h.setflags(write=False)
-    return h
 
 
 _DIGIT_BITS = 5
@@ -224,15 +197,6 @@ class BooleanFunction:
             self._spectrum = WalshSpectrum(self, _fwht(signs))
         return self._spectrum
 
-    def walsh_transform_naive(self) -> "WalshSpectrum":
-        """Quadratic-time oracle: explicit character matrix times the sign vector."""
-        if self.m > 12:
-            raise ValueError("naive Walsh transform is limited to m <= 12")
-        h = character_matrix(self.field)
-        signs = (1 - 2 * self.table.astype(np.int64)).astype(np.float64)
-        spec = np.rint(h @ signs).astype(np.int64)
-        return WalshSpectrum(self, spec)
-
     # -- algebraic normal form ---------------------------------------------------
 
     def _moebius(self) -> np.ndarray:
@@ -357,9 +321,9 @@ class Anf:
 
 def trace_component(field, a: int) -> BooleanFunction:
     """The component function x -> Tr(a*x) = parity(x & T*a), a linear map
-    of x whose image of bit i is bit i of T*a."""
+    of x whose image of bit i is bit i of T*a; a must be an m-bit word."""
     field = _as_field(field)
-    tc = field.trace_coordinates(a)
+    tc = int(bitmat.linear_map(field.trace_form_rows, [field.element(a).value])[0])
     return BooleanFunction(field, bitmat.span([(tc >> i) & 1 for i in range(field.m)]))
 
 
@@ -379,10 +343,10 @@ def bent_function(field) -> BooleanFunction:
                if field.relative_trace_raw(v, h) != 0)
     # Tr(lambda * x^(2^h) * x) = parity(x & M*x), where M*x = T*(lambda * x^(2^h))
     # is GF(2)-linear in x because the Frobenius map is
-    images = [field.trace_coordinates(field.mul(lam, field.pow(1 << i, 1 << h)))
-              for i in range(m)]
+    images = bitmat.linear_map(field.trace_form_rows,
+                               [field.mul(lam, field.pow(1 << i, 1 << h)) for i in range(m)])
     xs = np.arange(field.order, dtype="<u4")
-    xs &= bitmat.span(images)
+    xs &= bitmat.span(images.tolist())
     return BooleanFunction(field, bitmat.word_weights(xs.view(np.uint8).reshape(-1, 4).T) & 1)
 
 

@@ -246,6 +246,23 @@ def irreducible_cyclic(m: int, big_n: int) -> tuple[BinaryCode, DefiningSet]:
 # ---------------------------------------------------------------------------
 # Name-string addressing ("simplex:k=3", "bch:n=15,d=5", ...).
 
+# Each catalog name with its parameter keys, in call order, and its
+# constructor.  The lambdas look the constructors up when called, so a
+# rebound module attribute (a test's forged constructor) is the one used.
+_BY_NAME = {
+    "simplex": (("k",), lambda k: simplex(k)),
+    "macdonald": (("k",), lambda k: macdonald_punctured_simplex(k)),
+    "hamming": (("m",), lambda m: hamming(m)),
+    "rm": (("l", "m"), lambda ell, m: reed_muller(ell, m)),
+    "bch": (("n", "d"), lambda n, d: bch_code(n, d)),
+    "qr": (("n",), lambda n: quadratic_residue_code(n)),
+    "golay23": ((), lambda: golay23()),
+    "extended_golay24": ((), lambda: extended_golay24()),
+    "golay24": ((), lambda: extended_golay24()),
+    "irrcyclic": (("m", "n"), lambda m, n: irreducible_cyclic(m, n)[0]),
+}
+
+
 def build_from_name(spec: str) -> BinaryCode:
     """Construct a catalog code from its CLI name string."""
     name, _, paramstr = spec.strip().partition(":")
@@ -263,31 +280,10 @@ def build_from_name(spec: str) -> BinaryCode:
             except ValueError:
                 raise ValueError(f"parameter {key.strip()!r} in {spec!r} is not an integer")
 
-    def take(*keys):
-        missing = [k for k in keys if k not in params]
-        if missing or set(params) != set(keys):
-            raise ValueError(
-                f"{name} expects parameters {{{', '.join(keys)}}}, got {sorted(params)}")
-        return [params[k] for k in keys]
-
-    if name == "simplex":
-        return simplex(*take("k"))
-    if name == "macdonald":
-        return macdonald_punctured_simplex(*take("k"))
-    if name == "hamming":
-        return hamming(*take("m"))
-    if name == "rm":
-        return reed_muller(*take("l", "m"))
-    if name == "bch":
-        return bch_code(*take("n", "d"))
-    if name == "qr":
-        return quadratic_residue_code(*take("n"))
-    if name == "golay23":
-        take()
-        return golay23()
-    if name in ("extended_golay24", "golay24"):
-        take()
-        return extended_golay24()
-    if name == "irrcyclic":
-        return irreducible_cyclic(*take("m", "n"))[0]
-    raise ValueError(f"unknown catalog code {name!r}")
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown catalog code {name!r}")
+    keys, build = _BY_NAME[name]
+    if set(params) != set(keys):
+        raise ValueError(
+            f"{name} expects parameters {{{', '.join(keys)}}}, got {sorted(params)}")
+    return build(*(params[k] for k in keys))

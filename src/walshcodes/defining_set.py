@@ -59,11 +59,6 @@ class DefiningSet:
     def elements(self) -> list[FieldElement]:
         return [self.field.element(v) for v in self.values]
 
-    def characteristic_function(self) -> BooleanFunction:
-        if self.is_multiset:
-            raise ValueError("a multiset has no characteristic function")
-        return BooleanFunction.from_support(self.field, self.values)
-
     def __eq__(self, other):
         return (isinstance(other, DefiningSet)
                 and self.field == other.field and self.values == other.values)
@@ -81,9 +76,16 @@ class DefiningSet:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DefiningSet":
+        if not isinstance(d, dict):
+            raise ValueError(f"a defining set must be an object with m, a hex-string "
+                             f"modulus and elements as a list of hex strings, "
+                             f"got {type(d).__name__}")
         elements = d["elements"]
         if not isinstance(elements, list):
             raise ValueError(f"elements must be a list of hex strings, got {elements!r}")
+        for e in elements:
+            if not isinstance(e, str):
+                raise ValueError(f"elements must be a list of hex strings, got element {e!r}")
         return DefiningSet(Field.from_json_dict(d), [int(e, 16) for e in elements])
 
 

@@ -161,17 +161,9 @@ class Field:
             raise ValueError(f"value {value} is not an {self.m}-bit word")
         return FieldElement(self, value)
 
-    def elements(self):
-        for v in range(self.order):
-            yield FieldElement(self, v)
-
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
 
     @property
     def alpha(self) -> "FieldElement":
@@ -216,10 +208,11 @@ class Field:
     @cached_property
     def _trace_mask(self) -> int:
         # Tr is GF(2)-linear, so trace(v) = parity(v & mask) with
-        # mask bit i = Tr(alpha^i), each computed from the defining sum.
+        # mask bit i = Tr(alpha^i), each computed from the defining sum;
+        # alpha^i is the word 1 << i for i < m.
         mask = 0
         for i in range(self.m):
-            if self.trace_sum_of_squares(self.pow(self.alpha.value, i) if i else 1):
+            if self.trace_sum_of_squares(1 << i):
                 mask |= 1 << i
         return mask
 
@@ -242,14 +235,6 @@ class Field:
                 cur = self.mul(cur, cur)
         return acc
 
-    def relative_trace(self, a: "FieldElement", h: int) -> "FieldElement":
-        """Relative trace mapped into the standalone GF(2^h) (identity when h == m)."""
-        self._check(a)
-        if h == self.m:
-            return a
-        emb = self.subfield(h)
-        return emb.small.element(emb.down(self.relative_trace_raw(a.value, h)))
-
     # -- bilinear form of the trace ------------------------------------------
 
     @cached_property
@@ -268,26 +253,7 @@ class Field:
             rows.append(row)
         return tuple(rows)
 
-    def trace_coordinates(self, v: int) -> int:
-        """Word whose bit i is Tr(alpha^i * v); linear in v."""
-        out = 0
-        rows = self.trace_form_rows
-        while v:
-            j = (v & -v).bit_length() - 1
-            out ^= rows[j]
-            v &= v - 1
-        return out
-
     # -- multiplicative structure ---------------------------------------------
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        n = self.order - 1
-        for p in _prime_factors(n):
-            while n % p == 0 and self.pow(a, n // p) == 1:
-                n //= p
-        return n
 
     @cached_property
     def primitive_element(self) -> "FieldElement":
@@ -352,10 +318,16 @@ class Field:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Field":
+        if not isinstance(d, dict):
+            raise ValueError(f"a field must be an object with m and a hex-string "
+                             f"modulus, got {type(d).__name__}")
         m = d["m"]
         if type(m) is not int:
             raise ValueError(f"m must be an integer, got {m!r}")
-        return field(m, int(d["modulus"], 16))
+        modulus = d["modulus"]
+        if not isinstance(modulus, str):
+            raise ValueError(f"modulus must be a hex string, got {modulus!r}")
+        return field(m, int(modulus, 16))
 
 
 @lru_cache(maxsize=None)
@@ -407,9 +379,6 @@ class FieldElement:
 
     def trace(self) -> int:
         return self.field.trace(self.value)
-
-    def multiplicative_order(self) -> int:
-        return self.field.element_order(self.value)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)

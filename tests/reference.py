@@ -1,0 +1,45 @@
+"""Reference Walsh transform shared by the test modules: the explicit
+character matrix times the sign vector, independent of the fast path."""
+
+import functools
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from walshcodes.boolfun import WalshSpectrum
+from walshcodes.gf2 import Field
+
+
+@functools.lru_cache(maxsize=1)
+def character_matrix(field: Field) -> np.ndarray:
+    """Return the q x q matrix H with H[w, x] = (-1)**Tr(w*x), indexed by discrete logs.
+
+    Entry (g^a, g^b) is s[a + b] with s[k] = (-1)**Tr(g^k), so the rows and
+    columns ``exp_table`` hold a sliding window over s; no index matrix is
+    built.  The traces come from the sum-of-squares definition, so the matrix is
+    independent of the mask-based fast path and doubles as an oracle both for
+    the transform itself and for its inversion identity H @ W_f == q * signs.
+    Only the latest matrix is cached: it takes 8 q^2 bytes, 128 MB at m = 12.
+    """
+    q = field.order
+    exp = field.exp_table
+    traces = np.zeros(q - 1, dtype=np.uint32)
+    k = np.arange(q - 1)
+    for _ in range(field.m):
+        traces ^= exp[k]
+        k = 2 * k % (q - 1)
+    signs = np.tile(1.0 - 2.0 * traces, 2)
+    h = np.ones((q, q))
+    h[np.ix_(exp, exp)] = sliding_window_view(signs, q - 1)[:q - 1]
+    h.setflags(write=False)
+    return h
+
+
+def walsh_transform_naive(fn) -> WalshSpectrum:
+    """Quadratic-time oracle: explicit character matrix times the sign vector."""
+    if fn.m > 12:
+        raise ValueError("naive Walsh transform is limited to m <= 12")
+    h = character_matrix(fn.field)
+    signs = (1 - 2 * fn.table.astype(np.int64)).astype(np.float64)
+    spec = np.rint(h @ signs).astype(np.int64)
+    return WalshSpectrum(fn, spec)

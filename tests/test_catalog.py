@@ -3,6 +3,7 @@
 import pytest
 
 from walshcodes import gf2
+from walshcodes.boolfun import BooleanFunction
 from walshcodes.cli import CATALOG_FACTS
 from walshcodes.catalog import (
     CyclotomicCoset,
@@ -234,7 +235,7 @@ def test_irreducible_cyclic_codes():
     code, ds = irreducible_cyclic(4, 5)
     assert (code.n, code.k) == (3, 2)
     assert code.weight_distribution() == {0: 1, 2: 3}
-    assert verify_spectral_distribution(ds.characteristic_function())
+    assert verify_spectral_distribution(BooleanFunction.from_support(ds.field, ds.values))
     code, ds = irreducible_cyclic(6, 9)
     assert (code.n, code.k) == (7, 3)
     with pytest.raises(ValueError):

@@ -419,6 +419,14 @@ def test_missing_subcommand_exits_2():
      "error: bad defining-set file {dir}/ds.json: missing key 'm'"),
     (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "elements": ["1"]}'},
      "error: bad defining-set file {dir}/ds.json: missing key 'modulus'"),
+    (["build", "{dir}/ds.json"], {"ds.json": b"[1, 2]"},
+     "error: bad defining-set file {dir}/ds.json: a defining set must be an object with m, "
+     "a hex-string modulus and elements as a list of hex strings, got list"),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": 11, "elements": ["1"]}'},
+     "error: bad defining-set file {dir}/ds.json: modulus must be a hex string, got 11"),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": "13", "elements": [1]}'},
+     "error: bad defining-set file {dir}/ds.json: elements must be a list of hex strings, "
+     "got element 1"),
     (["build", "{dir}/ds.json"], {"ds.json": b"\xff{"}, None),
     (["extract", "{dir}/m.txt"], {"m.txt": b"\xff\xfe\n"},
      "error: bad matrix file {dir}/m.txt: not UTF-8 text (invalid start byte at byte 0)"),
@@ -426,7 +434,8 @@ def test_missing_subcommand_exits_2():
      "error: --trials must be at least 1, got 0"),
     (["openproblems", "--max-k", "0"], {}, None),
 ], ids=["analyze-not-utf8", "analyze-ragged", "build-no-elements", "build-no-m",
-        "build-no-modulus", "build-not-utf8", "extract-not-utf8", "verify-zero-trials",
+        "build-no-modulus", "build-not-object", "build-int-modulus", "build-int-element",
+        "build-not-utf8", "extract-not-utf8", "verify-zero-trials",
         "openproblems-zero-max-k"])
 def test_bad_input_to_each_subcommand_is_one_error_line_and_exit_2(tmp_path, argv, files,
                                                                    expected):

@@ -60,9 +60,9 @@ def test_defining_set_validation():
         with pytest.raises(ValueError, match=re.escape(f"element {bad} outside GF(2^2)")):
             DefiningSet(f, values)  # the first offending element is named
     assert DefiningSet(f, np.array([3, 0, 2])).values == (3, 0, 2)
-    with pytest.raises(ValueError):
-        DefiningSet(f, [1, 1]).characteristic_function()
-    fn = DefiningSet(f, [2, 1]).characteristic_function()
+    with pytest.raises(ValueError, match="^duplicate support point 1; supports are sets$"):
+        BooleanFunction.from_support(f, DefiningSet(f, [1, 1]).values)  # a multiset
+    fn = BooleanFunction.from_support(f, DefiningSet(f, [2, 1]).values)
     assert fn.support_values() == [1, 2]
 
 

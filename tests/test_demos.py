@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion, and the package exports
+every name it lists as public."""
 
 import pathlib
 import subprocess
@@ -14,3 +15,11 @@ def test_demo_exits_0(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_binds_every_name_in_all():
+    import walshcodes
+
+    namespace = {}
+    exec("from walshcodes import *", namespace)
+    assert set(walshcodes.__all__) <= namespace.keys()
