@@ -214,21 +214,30 @@ def test_trace_form_rows_match_direct_products():
                 assert (rows[j] >> i) & 1 == direct  # symmetry
 
 
+def trace_coordinates(f, v):
+    """Scalar reference: bit i of the result is Tr(alpha^i * v)."""
+    return sum(f.trace(f.mul(1 << i, v)) << i for i in range(f.m))
+
+
 def test_trace_coordinates_match_definition_and_are_bijective():
-    # the trace coordinates of v, bit i = Tr(alpha^i * v), are the linear
-    # map of the trace-form rows applied to v
     rng = random.Random(17)
-    for m in range(1, 11):
+    for m in (2, 5, 8, 10):
+        f = field(m)
+        words = bitmat.linear_map(f.trace_form_rows, range(f.order)).tolist()
+        for _ in range(150):
+            u, v = rng.randrange(f.order), rng.randrange(f.order)
+            assert words[v] == trace_coordinates(f, v)
+            assert words[u ^ v] == words[u] ^ words[v]
+        assert sorted(words) == list(range(f.order))
+
+
+def test_trace_form_rows_as_a_linear_map_give_trace_coordinates():
+    # the array form code construction uses, against the scalar definition
+    for m in range(1, 9):
         for modulus in (None, max(p for p in range(1 << m, 2 << m) if is_irreducible(p))):
             f = field(m, modulus)
-            words = bitmat.linear_map(f.trace_form_rows, range(f.order)).tolist()
-            for v, w in enumerate(words):
-                for i in range(m):
-                    assert (w >> i) & 1 == f.trace(f.mul(1 << i, v))
-            for _ in range(150):
-                u, v = rng.randrange(f.order), rng.randrange(f.order)
-                assert words[u ^ v] == words[u] ^ words[v]
-            assert sorted(words) == list(range(f.order))
+            got = bitmat.linear_map(f.trace_form_rows, range(f.order)).tolist()
+            assert got == [trace_coordinates(f, v) for v in range(f.order)]
 
 
 def test_relative_trace_transitivity_and_identity():
