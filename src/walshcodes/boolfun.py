@@ -244,10 +244,10 @@ class BooleanFunction:
 
 
 class WalshSpectrum:
-    """All 2^m Walsh coefficients of a Boolean function, with sanity checks."""
+    """All 2^m Walsh coefficients of a Boolean function, with sanity checks; no
+    reference back to the function that caches it, so refcounting frees both."""
 
     def __init__(self, function: BooleanFunction, values: np.ndarray):
-        self.function = function
         self.field = function.field
         values = np.asarray(values, dtype=np.int64)
         q = self.field.order
