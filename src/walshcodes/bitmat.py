@@ -18,7 +18,10 @@ applied to every word of len(images) bits, and ``linear_map`` applies a map
 of up to 32 input bits to an array of words through one ``span`` table per
 input byte.  Those tables are built once for each distinct tuple of images
 and kept, read-only, in a bounded least-recently-used cache, so a map applied
-again (the trace form, a dual basis) costs one gather per input byte.
+again (the trace form, a dual basis) costs one gather per input byte.  A map
+used only once builds its tables with ``span_tables`` and applies them with
+``apply_span_tables``, the gather behind ``linear_map``, so it evicts none of
+the cached maps.
 """
 
 from __future__ import annotations
@@ -153,12 +156,17 @@ def rows_of(cols: np.ndarray, k: int) -> list[int]:
 def linear_map(images, words) -> np.ndarray:
     """The GF(2)-linear map that sends bit i to images[i], applied to every
     word; bits of a word at or above len(images) are ignored.  Both images
-    and words are at most 32 bits wide.  The ``span`` table of each input
-    byte is built on the first call for a tuple of images and kept, read-only,
-    in the bounded cache of ``_byte_tables``; a later call with the same
-    images costs one gather per input byte."""
+    and words are at most 32 bits wide.  The ``span_tables`` of the images
+    are built on the first call for a tuple of images and kept in the bounded
+    cache of ``_byte_tables``; a later call with the same images costs
+    one gather per input byte."""
+    return apply_span_tables(_byte_tables(tuple(map(int, images))), words)
+
+
+def apply_span_tables(tables, words) -> np.ndarray:
+    """The linear map whose ``span_tables`` are tables, applied to every word:
+    one gather per input byte, xored into a fresh uint32 array."""
     words = np.asarray(words, dtype=np.uint32)
-    tables = _byte_tables(tuple(map(int, images)))
     if not tables:
         return np.zeros(words.shape, dtype=np.uint32)
     out = tables[0][words & np.uint32(len(tables[0]) - 1)]
@@ -167,14 +175,17 @@ def linear_map(images, words) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=128)
-def _byte_tables(images: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def span_tables(images) -> tuple[np.ndarray, ...]:
     """The read-only ``span`` table of each run of 8 images (the last run may
-    be shorter); at most 4 KB an entry, so the cache holds at most 512 KB."""
+    be shorter), at most 1 KB each: table b maps input byte b."""
     tables = tuple(span(images[base:base + 8]) for base in range(0, len(images), 8))
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+# at most 4 KB an entry, so the cache holds at most 512 KB
+_byte_tables = lru_cache(maxsize=128)(span_tables)
 
 
 def span(images) -> np.ndarray:

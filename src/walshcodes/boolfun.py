@@ -96,6 +96,18 @@ def _walsh_input_order(field: Field) -> np.ndarray:
     return order
 
 
+# The in-word steps of the Moebius butterfly on uint64 words: spans 1..32 and,
+# for each, the bit positions that have the span's bit set.  np.uint64
+# constants keep the shifts and masks in uint64 under numpy 1.x promotion.
+_SPANS = tuple(np.uint64(1 << s) for s in range(6))
+_SPAN_MASKS = tuple(np.uint64(sum(1 << b for b in range(64) if b >> s & 1)) for s in range(6))
+# per byte value: the weight of its index, and the largest weight among the
+# indices 0..7 of its set bits, -128 (below any sum of weights) for no bit
+_BYTE_WEIGHT = np.array([b.bit_count() for b in range(256)], dtype=np.int8)
+_TOP_WEIGHT = np.array([-128] + [max(i.bit_count() for i in range(8) if b >> i & 1)
+                                 for b in range(1, 256)], dtype=np.int8)
+
+
 class BooleanFunction:
     """A function GF(2^m) -> GF(2), stored as a truth table indexed by word value."""
 
@@ -200,26 +212,44 @@ class BooleanFunction:
     # -- algebraic normal form ---------------------------------------------------
 
     def _moebius(self) -> np.ndarray:
-        """ANF coefficients by the Moebius butterfly: entry x is the
-        coefficient of the monomial whose variables are the set bits of x."""
-        a = self.table.copy()
+        """ANF coefficients as packed words: bit b of uint64 word i is the
+        coefficient of the monomial whose variables are the set bits of
+        64*i + b (the truth table packed little-endian, zero-padded to one
+        word for m < 6).  The butterfly's steps of span 1..32 run inside each
+        word as w ^= (w << span) & mask, the mask holding the bit positions
+        with that span's bit set; the steps of span 64 and up xor whole words."""
+        packed = np.packbits(self.table, bitorder="little")
+        if packed.size < 8:
+            words = np.zeros(1, dtype="<u8")
+            words.view(np.uint8)[:packed.size] = packed
+        else:
+            words = packed.view("<u8")
+        t = np.empty_like(words)
+        for shift, mask in zip(_SPANS[:self.m], _SPAN_MASKS):
+            np.left_shift(words, shift, out=t)
+            t &= mask
+            words ^= t
         h = 1
-        while h < a.size:
-            v = a.reshape(-1, 2 * h)
+        while h < words.size:
+            v = words.reshape(-1, 2 * h)
             v[:, h:] ^= v[:, :h]
             h *= 2
-        return a
+        return words
 
     def anf(self) -> "Anf":
-        return Anf(self.field, frozenset(int(x) for x in np.flatnonzero(self._moebius())))
+        bits = np.unpackbits(self._moebius().view(np.uint8), bitorder="little")
+        return Anf(self.field, frozenset(np.flatnonzero(bits[:self.field.order]).tolist()))
 
     def algebraic_degree(self) -> int:
-        """Largest weight among the nonzero ANF coefficients' indices
-        (anf().degree() without building the monomial set)."""
-        monomials = np.flatnonzero(self._moebius()).astype("<u4")
-        if not monomials.size:
-            return 0
-        return int(bitmat.word_weights(monomials.view(np.uint8).reshape(-1, 4).T).max())
+        """Largest weight among the nonzero ANF coefficients' indices, read off
+        the packed words without listing monomials.  Byte j of the words holds
+        the monomials 8j..8j+7, so its best weight is weight(j) plus
+        ``_TOP_WEIGHT`` of the byte; weight(j) is added 8 bits of j at a time,
+        each a max over rows of 256 bytes."""
+        best = _TOP_WEIGHT[self._moebius().view(np.uint8)]
+        while best.size > 256:
+            best = (best.reshape(-1, 256) + _BYTE_WEIGHT).max(axis=1)
+        return max(int((best + _BYTE_WEIGHT[:best.size]).max()), 0)
 
     def nonlinearity(self) -> int:
         return self.walsh_transform().nonlinearity()
@@ -270,8 +300,15 @@ class WalshSpectrum:
         return int(self.values[w])
 
     def histogram(self) -> dict[int, int]:
-        vals, counts = np.unique(self.values, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
+        """{coefficient: count} in ascending order, by counting: the
+        constructor has proved every coefficient even and in [-2^m, 2^m], so
+        (W + 2^m) / 2 is an exact bin index in 0..2^m."""
+        q = self.field.order
+        bins = self.values + q
+        bins >>= 1
+        counts = np.bincount(bins)
+        nonzero = counts > 0
+        return dict(zip((2 * np.flatnonzero(nonzero) - q).tolist(), counts[nonzero].tolist()))
 
     def max_abs(self) -> int:
         return int(np.abs(self.values).max())

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bitmat
 from .boolfun import BooleanFunction
-from .gf2 import Field, FieldElement, Basis, field as get_field
+from .gf2 import Field, FieldElement, Basis, field as get_field, is_hex
 from .linear_code import BinaryCode
 
 
@@ -84,7 +84,7 @@ class DefiningSet:
         if not isinstance(elements, list):
             raise ValueError(f"elements must be a list of hex strings, got {elements!r}")
         for e in elements:
-            if not isinstance(e, str):
+            if not is_hex(e):
                 raise ValueError(f"elements must be a list of hex strings, got element {e!r}")
         return DefiningSet(Field.from_json_dict(d), [int(e, 16) for e in elements])
 

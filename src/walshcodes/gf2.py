@@ -14,6 +14,7 @@ relative traces, trace-dual bases, and coordinates with respect to a basis.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -124,6 +125,15 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
+
+
+def is_hex(s) -> bool:
+    """True for a string of one or more hex digits and nothing else: no sign,
+    0x prefix, underscore or white space, all of which int(s, 16) accepts."""
+    return isinstance(s, str) and _HEX_DIGITS.fullmatch(s) is not None
+
+
 # ---------------------------------------------------------------------------
 # Field and elements.
 
@@ -172,19 +182,18 @@ class Field:
 
     # -- core arithmetic on raw words ---------------------------------------
 
-    def mulx(self, v: int) -> int:
-        v <<= 1
-        if v >> self.m:
-            v ^= self.modulus
-        return v
-
     def mul(self, a: int, b: int) -> int:
+        """Shift and add: a runs through a * alpha^i, reduced as it
+        overflows m bits, and is added for each set bit i of b."""
+        m, modulus = self.m, self.modulus
         r = 0
         while b:
             if b & 1:
                 r ^= a
             b >>= 1
-            a = self.mulx(a)
+            a <<= 1
+            if a >> m:
+                a ^= modulus
         return r
 
     def pow(self, a: int, e: int) -> int:
@@ -270,14 +279,16 @@ class Field:
         """Read-only uint32 array of length 2^m - 1 whose entry i is g^i, g the
         primitive element.  Built by doubling: multiplying by c = g^len is
         GF(2)-linear, so the next len powers are the ones held so far under the
-        ``bitmat.linear_map`` with images c * alpha^i."""
+        linear map with images c * alpha^i.  Each c is used once, so its span
+        tables are built outside ``bitmat.linear_map``'s cache."""
         g = self.primitive_element.value
         table = np.ones(1, dtype=np.uint32)
         while len(table) < self.order - 1:
             c = self.mul(int(table[-1]), g)
             images = [self.mul(c, 1 << i) for i in range(self.m)]
             rest = table[:self.order - 1 - len(table)]
-            table = np.concatenate([table, bitmat.linear_map(images, rest)])
+            table = np.concatenate([table, bitmat.apply_span_tables(
+                bitmat.span_tables(images), rest)])
         table.setflags(write=False)
         return table
 
@@ -325,7 +336,7 @@ class Field:
         if type(m) is not int:
             raise ValueError(f"m must be an integer, got {m!r}")
         modulus = d["modulus"]
-        if not isinstance(modulus, str):
+        if not is_hex(modulus):
             raise ValueError(f"modulus must be a hex string, got {modulus!r}")
         return field(m, int(modulus, 16))
 

@@ -151,7 +151,9 @@ class BinaryCode:
         if self.k == 0:
             raise ValueError("projectivity of the zero code is undefined")
         if self._defect is None:
-            self._defect = _column_defect(bitmat.packed_columns(self._basis, self.n))
+            self._defect = _column_defect(
+                bitmat.columns(self._basis, self.n) if self.k <= 32
+                else bitmat.packed_columns(self._basis, self.n))
         return not self._defect
 
     def projectivity_defect(self) -> str:
@@ -171,12 +173,16 @@ class BinaryCode:
 
 
 def _column_defect(cols: np.ndarray) -> str:
-    """Which of the packed columns is the first zero one, or failing that the
-    first that repeats an earlier one; "" when there is neither."""
-    zero = np.flatnonzero(~cols.any(axis=1))
+    """Which column is the first zero one, or failing that the first that
+    repeats an earlier one; "" when there is neither.  The columns are uint32
+    column words (``bitmat.columns``, at most 32 rows) or the (n, ceil(k/8))
+    rows of ``bitmat.packed_columns``, compared whole along axis 0."""
+    packed = cols.ndim == 2
+    zero = np.flatnonzero(~cols.any(axis=1) if packed else cols == 0)
     if zero.size:
         return f"generator column {zero[0]} is zero"
-    _, first, inverse = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(cols, axis=0 if packed else None,
+                                  return_index=True, return_inverse=True)
     first_seen = first[inverse.ravel()]
     repeats = np.flatnonzero(first_seen != np.arange(len(cols)))
     if repeats.size:

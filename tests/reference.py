@@ -1,5 +1,7 @@
-"""Reference Walsh transform shared by the test modules: the explicit
-character matrix times the sign vector, independent of the fast path."""
+"""References shared by the test modules, each independent of the fast path
+it checks: the Walsh transform as the explicit character matrix times the
+sign vector, and the algebraic normal form by the Moebius butterfly on one
+byte per point."""
 
 import functools
 
@@ -43,3 +45,23 @@ def walsh_transform_naive(fn) -> WalshSpectrum:
     signs = (1 - 2 * fn.table.astype(np.int64)).astype(np.float64)
     spec = np.rint(h @ signs).astype(np.int64)
     return WalshSpectrum(fn, spec)
+
+
+def moebius_by_bytes(table) -> np.ndarray:
+    """ANF coefficients by the Moebius butterfly on one uint8 entry per
+    point: entry x is the coefficient of the monomial whose variables are the
+    set bits of x."""
+    a = np.array(table, dtype=np.uint8)
+    h = 1
+    while h < a.size:
+        v = a.reshape(-1, 2 * h)
+        v[:, h:] ^= v[:, :h]
+        h *= 2
+    return a
+
+
+def degree_by_monomials(table) -> int:
+    """Largest weight among the indices of the nonzero ANF coefficients."""
+    return max((int(x).bit_count() for x in np.flatnonzero(moebius_by_bytes(table))),
+               default=0)
+

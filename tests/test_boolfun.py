@@ -20,7 +20,8 @@ from walshcodes.boolfun import (
 )
 from walshcodes.gf2 import field, is_irreducible
 
-from reference import character_matrix, walsh_transform_naive
+from reference import (character_matrix, degree_by_monomials, moebius_by_bytes,
+                       walsh_transform_naive)
 
 
 def naive_walsh(f, fn):
@@ -467,6 +468,31 @@ def test_spectrum_histogram_and_max_abs():
     assert spec.nonlinearity() == 1
 
 
+def histogram_by_unique(values):
+    """Reference: {value: count} in ascending order, by sorting."""
+    vals, counts = np.unique(values, return_counts=True)
+    return {int(v): int(c) for v, c in zip(vals, counts)}
+
+
+@pytest.mark.parametrize("m", range(1, 19))
+def test_histogram_equals_the_sorting_reference(m):
+    f = field(m)
+    rng = random.Random(m)
+    fns = [random_function(f, rng), random_function(f, rng, balanced=True),
+           BooleanFunction(f, np.zeros(f.order, dtype=np.uint8)),
+           BooleanFunction(f, np.ones(f.order, dtype=np.uint8)),
+           trace_component(f, rng.randrange(1, f.order)),
+           BooleanFunction(f, 1 - trace_component(f, rng.randrange(f.order)).table)]
+    if m % 2 == 0:
+        fns.append(bent_function(f))
+    for fn in fns:
+        spec = fn.walsh_transform()
+        got = spec.histogram()
+        want = histogram_by_unique(spec.values)
+        assert list(got.items()) == list(want.items())  # ascending keys as well
+        assert all(type(v) is int and type(c) is int for v, c in got.items())
+
+
 # -- algebraic normal form ---------------------------------------------------------
 
 
@@ -513,6 +539,57 @@ def test_algebraic_degree_of_the_top_monomial():
         q = 1 << m
         fn = BooleanFunction(field(m), [int(x == q - 1) for x in range(q)])
         assert fn.algebraic_degree() == m == fn.anf().degree()
+
+
+def table_from_monomials(m, monomials):
+    """The truth table whose ANF is the given set of monomial masks (the
+    Moebius transform is its own inverse)."""
+    coeffs = np.zeros(1 << m, dtype=np.uint8)
+    for mask in monomials:
+        coeffs[mask] ^= 1
+    return moebius_by_bytes(coeffs)
+
+
+@st.composite
+def wide_truth_tables(draw):
+    """Truth tables for m = 1..18, half of them m = 5..7 at the edge of one
+    64-bit word: uniformly random ones, and ones built from a few monomials
+    of weight at most a drawn bound, so that every degree occurs."""
+    m = draw(st.one_of(st.integers(5, 7), st.integers(1, 18)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return BooleanFunction(field(m), rng.integers(0, 2, 1 << m, dtype=np.uint8))
+    bound = draw(st.integers(0, m))
+    monomials = [sum(1 << int(i) for i in rng.choice(m, size=rng.integers(0, bound + 1),
+                                                       replace=False))
+                 for _ in range(draw(st.integers(0, 8)))]
+    return BooleanFunction(field(m), table_from_monomials(m, monomials))
+
+
+def assert_packed_anf_equals_the_byte_butterfly(fn):
+    coeffs = moebius_by_bytes(fn.table)
+    assert fn.anf().monomials == frozenset(np.flatnonzero(coeffs).tolist())
+    assert fn.algebraic_degree() == degree_by_monomials(fn.table)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(wide_truth_tables())
+def test_packed_anf_and_degree_equal_the_byte_butterfly(fn):
+    assert_packed_anf_equals_the_byte_butterfly(fn)
+
+
+@pytest.mark.parametrize("m", range(1, 19))
+def test_packed_anf_of_the_zero_all_one_and_top_monomial_tables(m):
+    q = 1 << m
+    zero = BooleanFunction(field(m), np.zeros(q, dtype=np.uint8))
+    ones = BooleanFunction(field(m), np.ones(q, dtype=np.uint8))
+    top = BooleanFunction(field(m), table_from_monomials(m, [q - 1]))
+    for fn in (zero, ones, top):
+        assert_packed_anf_equals_the_byte_butterfly(fn)
+    assert zero.anf().monomials == frozenset() and zero.algebraic_degree() == 0
+    assert ones.anf().monomials == frozenset({0}) and ones.algebraic_degree() == 0
+    assert top.anf().monomials == frozenset({q - 1}) and top.algebraic_degree() == m
+    assert top.table.tolist() == [int(x == q - 1) for x in range(q)]
 
 
 def test_anf_string_rendering():

@@ -349,6 +349,25 @@ def test_openproblems_reports_match_the_golden_digest(capsys, tmp_path):
     assert digest == OPENPROBLEMS_SHA256
 
 
+# The sha256 of the concatenated analyze reports of six codes whose Boolean
+# functions live on m = 13..18, past the openproblems reports' m <= 12: it
+# pins algebraic_degree, nonlinearity, classification and walsh_histogram,
+# which come from the float32 transform and the packed Moebius butterfly.
+ANALYZE_LARGE_M = ["bch:n=21,d=3", "bch:n=127,d=49", "qr:n=31", "bch:n=31,d=7",
+                   "rm:l=2,m=5", "bch:n=63,d=17"]
+ANALYZE_LARGE_M_SHA256 = "ba9a3b7484b9ca160549751239d5c62b70d5e5cf791947231ec8e822425911fe"
+
+
+def test_analyze_reports_above_m12_match_the_golden_digest(capsys):
+    out = []
+    for spec in ANALYZE_LARGE_M:
+        code, stdout, _ = run_cli(capsys, "analyze", spec)
+        assert code == 0
+        assert json.loads(stdout)["boolean_function"]["m"] >= 13
+        out.append(stdout)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == ANALYZE_LARGE_M_SHA256
+
+
 # -- flags -----------------------------------------------------------------------------
 
 
@@ -428,6 +447,19 @@ def test_missing_subcommand_exits_2():
      "error: bad defining-set file {dir}/ds.json: elements must be a list of hex strings, "
      "got element 1"),
     (["build", "{dir}/ds.json"], {"ds.json": b"\xff{"}, None),
+    (["build", "{dir}/ds.json"],
+     {"ds.json": b'{"m": 4, "modulus": " 0x1_3 ", "elements": ["1"]}'},
+     "error: bad defining-set file {dir}/ds.json: modulus must be a hex string, "
+     "got ' 0x1_3 '"),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": "13", "elements": ["0x_1"]}'},
+     "error: bad defining-set file {dir}/ds.json: elements must be a list of hex strings, "
+     "got element '0x_1'"),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": "13", "elements": ["+2"]}'},
+     "error: bad defining-set file {dir}/ds.json: elements must be a list of hex strings, "
+     "got element '+2'"),
+    (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": "13", "elements": ["zz"]}'},
+     "error: bad defining-set file {dir}/ds.json: elements must be a list of hex strings, "
+     "got element 'zz'"),
     (["extract", "{dir}/m.txt"], {"m.txt": b"\xff\xfe\n"},
      "error: bad matrix file {dir}/m.txt: not UTF-8 text (invalid start byte at byte 0)"),
     (["verify", "bivariate", "--trials", "0"], {},
@@ -435,7 +467,8 @@ def test_missing_subcommand_exits_2():
     (["openproblems", "--max-k", "0"], {}, None),
 ], ids=["analyze-not-utf8", "analyze-ragged", "build-no-elements", "build-no-m",
         "build-no-modulus", "build-not-object", "build-int-modulus", "build-int-element",
-        "build-not-utf8", "extract-not-utf8", "verify-zero-trials",
+        "build-not-utf8", "build-prefixed-modulus", "build-prefixed-element",
+        "build-signed-element", "build-non-hex-element", "extract-not-utf8", "verify-zero-trials",
         "openproblems-zero-max-k"])
 def test_bad_input_to_each_subcommand_is_one_error_line_and_exit_2(tmp_path, argv, files,
                                                                    expected):

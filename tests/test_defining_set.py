@@ -72,6 +72,15 @@ def test_defining_set_json_round_trip():
     d = ds.to_json_dict()
     assert d == {"m": 4, "modulus": "19", "elements": ["c", "1", "c", "0"]}
     assert DefiningSet.from_json_dict(d) == ds
+    assert DefiningSet.from_json_dict({**d, "elements": ["C", "1", "c", "00"]}) == ds
+
+
+@pytest.mark.parametrize("bad", ["0x_1", "+2", " 2", "2 ", "0x2", "1_0", "\u0662", "", "zz"])
+def test_defining_set_elements_must_be_plain_hex_digits(bad):
+    d = {"m": 4, "modulus": "13", "elements": ["1", bad, "zz"]}
+    with pytest.raises(ValueError, match=f"^elements must be a list of hex strings, "
+                                         f"got element {re.escape(repr(bad))}$"):
+        DefiningSet.from_json_dict(d)
 
 
 # -- building codes ----------------------------------------------------------------

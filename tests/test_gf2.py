@@ -119,6 +119,16 @@ def test_gf8_multiplication_fixtures():
     assert f.mul(2, 5) == 1
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, gf2.MAX_M), st.booleans(), st.data())
+def test_mul_equals_the_product_reduced_by_the_modulus(m, largest_modulus, data):
+    modulus = (next(p for p in range((2 << m) - 1, 1 << m, -1) if is_irreducible(p))
+               if largest_modulus else None)
+    f = field(m, modulus)
+    a, b = (data.draw(st.integers(0, f.order - 1)) for _ in range(2))
+    assert f.mul(a, b) == poly_mod(poly_mul(a, b), f.modulus)
+
+
 def test_small_fields_satisfy_ring_axioms():
     for m in (1, 2, 3):
         f = field(m)
@@ -406,6 +416,18 @@ def test_exp_table_lists_the_powers_of_the_primitive_element():
         assert all(f.mul(a, g) == b for a, b in zip(exp.tolist(), exp[1:].tolist()))
 
 
+def test_exp_table_leaves_the_cached_span_tables_alone():
+    # the span tables of the fields' repeated maps stay cached; exp_table's
+    # one-shot maps neither look them up nor evict them
+    for m in range(1, 19):
+        field(m).trace_form_rows, field(m).dual_polynomial_basis
+    before = bitmat._byte_tables.cache_info()
+    for m in range(2, 19):
+        fresh = gf2.Field(m)
+        assert fresh.exp_table.tolist() == field(m).exp_table.tolist()
+    assert bitmat._byte_tables.cache_info() == before
+
+
 def test_element_of_order_is_least_with_that_order():
     for m in range(1, 11):
         f = field(m)
@@ -495,6 +517,11 @@ def test_field_json_round_trip():
     with pytest.raises(ValueError, match="^a field must be an object with m and a hex-string "
                                          "modulus, got list$"):
         gf2.Field.from_json_dict([8, "11b"])
+    # int(s, 16) reads every one of these but "" and "zz"
+    for bad in (" 0x1_3 ", "0x13", "1_3", "+13", "13 ", "13\n", "\u0661\u0663", "", "zz"):
+        with pytest.raises(ValueError, match=r"^modulus must be a hex string, got "):
+            gf2.Field.from_json_dict({"m": 4, "modulus": bad})
+    assert gf2.Field.from_json_dict({"m": 8, "modulus": "11B"}) == f
 
 
 def test_field_factory_caches_instances():

@@ -319,6 +319,26 @@ def test_is_projective_for_more_than_32_rows(m):
     assert not doubled.is_projective() and doubled.projectivity_defect() == defect
 
 
+@pytest.mark.parametrize("k", [32, 33])
+@pytest.mark.parametrize("defect", ["none", "zero", "repeated"])
+def test_is_projective_at_the_column_word_edge(k, defect):
+    # rank exactly 32 takes the uint32 column words, rank 33 the packed columns
+    rng = random.Random(k)
+    cols = [1 << i for i in range(k)] + [rng.getrandbits(k) | 1 for _ in range(20)]
+    cols = list(dict.fromkeys(cols))
+    rng.shuffle(cols)
+    if defect == "zero":
+        cols.insert(rng.randrange(len(cols)), 0)
+    elif defect == "repeated":
+        cols.insert(rng.randrange(len(cols)), cols[rng.randrange(5, len(cols))])
+    code = BinaryCode(transpose_by_loop(cols, k), len(cols))
+    assert code.k == k
+    expected, message = projectivity_by_transpose(code)
+    assert expected is (defect == "none")
+    assert code.is_projective() is expected
+    assert code.projectivity_defect() == message
+
+
 def test_is_projective_iff_dual_distance_at_least_three():
     rng = random.Random(27)
     for _ in range(300):
