@@ -7,10 +7,10 @@ columns are invisible in the int encoding.
 Any matrix has a packed-column form, one row of ``ceil(k/8)`` bytes per
 column (``packed_columns``); a matrix of at most 32 rows also has a
 column-word form: a numpy ``uint32`` array whose entry j has bit i equal to
-row i, column j.  ``columns`` and ``rows_of`` convert between the forms with
-``np.unpackbits``/``np.packbits``; each is a few numpy passes over the
-columns.  ``word_weights`` counts the set bits of words held as bytes, in
-uint8 arithmetic.
+row i, column j (``columns`` zero-pads the packed columns).  ``packed_columns``
+and ``rows_of`` share one bit-transpose, ``np.unpackbits`` along one axis and
+``np.packbits`` along the other.  ``word_weights`` counts the set bits of
+words held as bytes, in uint8 arithmetic.
 
 Every GF(2)-linear map on words goes through one kernel: ``span(images)`` is
 the table of all 2^len(images) subset xors of the images, which is the map
@@ -129,8 +129,7 @@ def packed_columns(rows: list[int], n: int) -> np.ndarray:
     """Columns of a matrix of any number k of rows, each fitting in n bits, as
     an (n, ceil(k/8)) uint8 array: column j holds bit j of rows[i] at bit
     i % 8 of byte i // 8."""
-    bits = np.unpackbits(row_bytes(rows, n), axis=1, count=n, bitorder="little")
-    return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+    return _transpose_bits(row_bytes(rows, n), n)
 
 
 def columns(rows: list[int], n: int) -> np.ndarray:
@@ -148,9 +147,13 @@ def rows_of(cols: np.ndarray, k: int) -> list[int]:
     """The k rows whose column words are cols (inverse of ``columns``); bits of
     cols at or above k are ignored."""
     words = np.ascontiguousarray(cols, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(words, axis=1, count=k, bitorder="little")
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return [int.from_bytes(row.tobytes(), "little") for row in _transpose_bits(words, k)]
+
+
+def _transpose_bits(rows: np.ndarray, width: int) -> np.ndarray:
+    """The first width bit columns of uint8 rows (bit j in bit j % 8 of byte j // 8), as rows."""
+    bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
 
 
 def linear_map(images, words) -> np.ndarray:

@@ -30,7 +30,7 @@ import functools
 import numpy as np
 
 from . import bitmat
-from .gf2 import Field, field as get_field
+from .gf2 import Field, field as get_field, is_hex
 
 
 def _as_field(f) -> Field:
@@ -189,6 +189,8 @@ class BooleanFunction:
         width = max(1, field.order // 4)
         if len(s) != width:
             raise ValueError(f"expected {width} hex digits for m={field.m}, got {len(s)}")
+        if not is_hex(s):  # int(s, 16) alone accepts a sign, 0x, _ and white space
+            raise ValueError(f"expected {width} hex digits 0-9a-fA-F for m={field.m}, got {s!r}")
         v = int(s, 16)
         if v >> field.order:
             raise ValueError("hex truth table has bits beyond 2^m")

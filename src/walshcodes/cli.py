@@ -27,9 +27,8 @@ import sys
 from . import catalog
 from .boolfun import BooleanFunction, random_function
 from .defining_set import (DefiningSet, NotProjectiveError, bivariate_view,
-                           boolean_from_code, code_from_defining_set,
-                           extract_defining_set, spectral_weight_distribution,
-                           verify_spectral_distribution)
+                           code_from_defining_set, extract_defining_set,
+                           spectral_weight_distribution, verify_spectral_distribution)
 from .gf2 import MAX_M, field as get_field
 from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
                           random_spanning_rows)
@@ -132,10 +131,7 @@ def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool
     report["defining_set"] = ds.to_json_dict()
 
     if not report["projective"]:
-        try:
-            boolean_from_code(code)
-        except NotProjectiveError as exc:
-            report["boolean_function"] = {"error": str(exc)}
+        report["boolean_function"] = {"error": str(NotProjectiveError.of(code))}
         return report, True
 
     f = BooleanFunction.from_support(ds.field, ds.values)

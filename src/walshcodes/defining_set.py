@@ -28,6 +28,11 @@ class NotProjectiveError(ValueError):
     """Raised when a construction requires a projective code but got one with
     a zero or repeated generator column."""
 
+    @classmethod
+    def of(cls, code: BinaryCode) -> "NotProjectiveError":
+        """The error for a non-projective code, naming its first bad column."""
+        return cls(f"cannot attach a Boolean function: {code.projectivity_defect()}")
+
 
 class DefiningSet:
     """An ordered (multi)set of GF(2^m) elements; order fixes the column order
@@ -145,8 +150,7 @@ def boolean_from_code(code: BinaryCode, field: Field | None = None,
     """The characteristic function of the extracted defining set (the code
     must be projective so that the set has distinct nonzero elements)."""
     if not code.is_projective():
-        raise NotProjectiveError(
-            f"cannot attach a Boolean function: {code.projectivity_defect()}")
+        raise NotProjectiveError.of(code)
     ds = extract_defining_set(code, field, basis)
     return BooleanFunction.from_support(ds.field, ds.values)
 

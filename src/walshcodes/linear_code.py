@@ -12,7 +12,7 @@ with one xor offset per block, and each block's weights come from a bytewise
 popcount in uint8 and one ``np.bincount``.  ``codewords`` keeps the scalar
 Gray-code walk over the echelon basis as the reference for that count.  The
 MacWilliams transform evaluates Krawtchouk polynomials by their exact integer
-three-term recurrence.
+three-term recurrence.  Projectivity, at any rank, sorts packed columns as ``np.void`` keys.
 """
 
 from __future__ import annotations
@@ -52,27 +52,26 @@ class BinaryCode:
         rows = []
         n = None
         for raw in matrix:
-            if isinstance(raw, str):
-                raw = raw.strip()
-                if any(c not in "01" for c in raw):
-                    raise ValueError(f"row {raw!r} contains characters other than 0/1")
-                bits = [int(c) for c in raw]
-            else:
+            if not isinstance(raw, str):
                 bits = [int(b) for b in raw]
                 if any(b not in (0, 1) for b in bits):
                     raise ValueError("matrix entries must be 0 or 1")
+                raw = "".join(map(str, bits))
+            raw = raw.strip()
+            if raw.strip("01"):  # int(raw, 2) alone accepts _, + and non-ASCII digits
+                raise ValueError(f"row {raw!r} contains characters other than 0/1")
             if n is None:
-                n = len(bits)
-            elif len(bits) != n:
+                n = len(raw)
+            elif len(raw) != n:
                 raise ValueError("generator rows have unequal lengths")
-            rows.append(sum(b << j for j, b in enumerate(bits)))
+            rows.append(int(raw[::-1] or "0", 2))
         if not rows or n == 0:
             raise ValueError("generator matrix must have at least one row and column")
         return BinaryCode(rows, n)
 
     def to_strings(self) -> list[str]:
         """Rows as 0/1 strings; character j is coordinate j."""
-        return ["".join("01"[(r >> j) & 1] for j in range(self.n)) for r in self.rows]
+        return [format(r, f"0{self.n}b")[::-1] for r in self.rows]
 
     # -- canonical form ----------------------------------------------------
 
@@ -151,9 +150,7 @@ class BinaryCode:
         if self.k == 0:
             raise ValueError("projectivity of the zero code is undefined")
         if self._defect is None:
-            self._defect = _column_defect(
-                bitmat.columns(self._basis, self.n) if self.k <= 32
-                else bitmat.packed_columns(self._basis, self.n))
+            self._defect = _column_defect(bitmat.packed_columns(self._basis, self.n))
         return not self._defect
 
     def projectivity_defect(self) -> str:
@@ -174,16 +171,14 @@ class BinaryCode:
 
 def _column_defect(cols: np.ndarray) -> str:
     """Which column is the first zero one, or failing that the first that
-    repeats an earlier one; "" when there is neither.  The columns are uint32
-    column words (``bitmat.columns``, at most 32 rows) or the (n, ceil(k/8))
-    rows of ``bitmat.packed_columns``, compared whole along axis 0."""
-    packed = cols.ndim == 2
-    zero = np.flatnonzero(~cols.any(axis=1) if packed else cols == 0)
+    repeats an earlier one; "" when there is neither.  cols are the rows of
+    ``bitmat.packed_columns``, each one ``np.void`` key to a 1-D ``np.unique``."""
+    zero = np.flatnonzero(~cols.any(axis=1))
     if zero.size:
         return f"generator column {zero[0]} is zero"
-    _, first, inverse = np.unique(cols, axis=0 if packed else None,
-                                  return_index=True, return_inverse=True)
-    first_seen = first[inverse.ravel()]
+    keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first_seen = first[inverse]
     repeats = np.flatnonzero(first_seen != np.arange(len(cols)))
     if repeats.size:
         j = repeats[0]

@@ -247,6 +247,10 @@ def test_hex_width_and_validation():
         BooleanFunction.from_hex(f, "1")  # wrong width
     with pytest.raises(ValueError):
         BooleanFunction.from_hex(field(1), "4")  # sets a bit beyond the table
+    for s in ("0x_1", " +1 ", "+001"):  # the right length, and int(s, 16) == 1
+        with pytest.raises(ValueError, match="expected 4 hex digits 0-9a-fA-F for m=4"):
+            BooleanFunction.from_hex(field(4), s)
+    assert BooleanFunction.from_hex(field(4), "A05F").to_hex() == "a05f"
 
 
 # -- Walsh transform --------------------------------------------------------------

@@ -368,6 +368,25 @@ def test_analyze_reports_above_m12_match_the_golden_digest(capsys):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == ANALYZE_LARGE_M_SHA256
 
 
+# The sha256 of the concatenated analyze reports of the catalog codes of rank
+# above 32 and of the non-projective catalog codes: it pins the projectivity
+# verdict and the not-projective message of each.
+ANALYZE_COLUMN_KEYS = ["hamming:m=6", "hamming:m=7", "hamming:m=8", "rm:l=4,m=6",
+                       "bch:n=21,d=9", "bch:n=45,d=9", "bch:n=45,d=17"]
+ANALYZE_COLUMN_KEYS_SHA256 = "9d607b037f259142d776f5eb5d3f6fe94d3a7955d64e3019077cb4297f3be756"
+
+
+def test_analyze_reports_of_wide_and_non_projective_codes_match_the_golden_digest(capsys):
+    out = []
+    for spec in ANALYZE_COLUMN_KEYS:
+        code, stdout, _ = run_cli(capsys, "analyze", spec)
+        assert code == 0
+        out.append(stdout)
+    verdicts = [json.loads(s)["projective"] for s in out]
+    assert verdicts == [True] * 4 + [False] * 3
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == ANALYZE_COLUMN_KEYS_SHA256
+
+
 # -- flags -----------------------------------------------------------------------------
 
 
@@ -431,7 +450,16 @@ def test_missing_subcommand_exits_2():
 @pytest.mark.parametrize("argv,files,expected", [
     (["analyze", "{dir}/m.txt"], {"m.txt": b"\xff\xfe\n"},
      "error: bad matrix file {dir}/m.txt: not UTF-8 text (invalid start byte at byte 0)"),
-    (["analyze", "{dir}/ragged.txt"], {"ragged.txt": b"10\n1\n"}, None),
+    (["analyze", "{dir}/ragged.txt"], {"ragged.txt": b"10\n1\n"},
+     "error: bad matrix file {dir}/ragged.txt: generator rows have unequal lengths"),
+    (["analyze", "{dir}/m.txt"], {"m.txt": b"1_0\n"},
+     "error: bad matrix file {dir}/m.txt: row '1_0' contains characters other than 0/1"),
+    (["analyze", "{dir}/m.txt"], {"m.txt": b"+1\n"},
+     "error: bad matrix file {dir}/m.txt: row '+1' contains characters other than 0/1"),
+    (["analyze", "{dir}/m.txt"], {"m.txt": "\u0661\u0660\n".encode()},
+     "error: bad matrix file {dir}/m.txt: row '\u0661\u0660' contains characters other "
+     "than 0/1"),
+    (["analyze", "{dir}/m.txt"], {"m.txt": b"\n  \n"}, "error: matrix file {dir}/m.txt is empty"),
     (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": "13"}'},
      "error: bad defining-set file {dir}/ds.json: missing key 'elements'"),
     (["build", "{dir}/ds.json"], {"ds.json": b'{"modulus": "13", "elements": ["1"]}'},
@@ -465,7 +493,8 @@ def test_missing_subcommand_exits_2():
     (["verify", "bivariate", "--trials", "0"], {},
      "error: --trials must be at least 1, got 0"),
     (["openproblems", "--max-k", "0"], {}, None),
-], ids=["analyze-not-utf8", "analyze-ragged", "build-no-elements", "build-no-m",
+], ids=["analyze-not-utf8", "analyze-ragged", "analyze-underscore-row", "analyze-signed-row",
+        "analyze-arabic-indic-digits", "analyze-blank", "build-no-elements", "build-no-m",
         "build-no-modulus", "build-not-object", "build-int-modulus", "build-int-element",
         "build-not-utf8", "build-prefixed-modulus", "build-prefixed-element",
         "build-signed-element", "build-non-hex-element", "extract-not-utf8", "verify-zero-trials",

@@ -53,6 +53,22 @@ def test_from_rows_accepts_strings_and_int_lists():
     b = BinaryCode.from_rows([[1, 0, 1], [0, 1, 1]])
     assert a.rows == b.rows == (0b101, 0b110)
     assert a == b
+    rng = random.Random(30)
+    for n in (1, 7, 8, 9, 70):
+        strings = [format(rng.getrandbits(n), f"0{n}b") for _ in range(4)]
+        as_ints = [[int(c) for c in s] for s in strings]
+        assert BinaryCode.from_rows(as_ints).rows == BinaryCode.from_rows(strings).rows
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 65535])
+def test_from_rows_reads_back_to_strings(n):
+    rng = random.Random(n)
+    code = BinaryCode([rng.getrandbits(n) for _ in range(3)] + [1 << (n - 1)], n)
+    strings = code.to_strings()
+    assert all(len(s) == n for s in strings)
+    assert strings[-1] == "0" * (n - 1) + "1"  # character j is coordinate j
+    back = BinaryCode.from_rows(strings)
+    assert back == code and back.rows == code.rows
 
 
 def test_from_rows_rejects_bad_matrices():
@@ -286,9 +302,9 @@ def projectivity_by_transpose(code):
 
 @st.composite
 def column_codes(draw):
-    """Codes given by their columns, up to 40 rows, with zero and repeated
-    columns placed anywhere."""
-    k = draw(st.integers(1, 40))
+    """Codes given by their columns, up to 72 rows (packed columns of up to
+    9 bytes), with zero and repeated columns placed anywhere."""
+    k = draw(st.integers(1, 72))
     cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=80))
     if draw(st.booleans()):
         cols.insert(draw(st.integers(0, len(cols))), cols[draw(st.integers(0, len(cols) - 1))])
@@ -322,7 +338,7 @@ def test_is_projective_for_more_than_32_rows(m):
 @pytest.mark.parametrize("k", [32, 33])
 @pytest.mark.parametrize("defect", ["none", "zero", "repeated"])
 def test_is_projective_at_the_column_word_edge(k, defect):
-    # rank exactly 32 takes the uint32 column words, rank 33 the packed columns
+    # rank exactly 32 fills four bytes of each packed column, rank 33 spills into a fifth
     rng = random.Random(k)
     cols = [1 << i for i in range(k)] + [rng.getrandbits(k) | 1 for _ in range(20)]
     cols = list(dict.fromkeys(cols))
