@@ -10,7 +10,9 @@ column-word form: a numpy ``uint32`` array whose entry j has bit i equal to
 row i, column j (``columns`` zero-pads the packed columns).  ``packed_columns``
 and ``rows_of`` share one bit-transpose, ``np.unpackbits`` along one axis and
 ``np.packbits`` along the other.  ``word_weights`` counts the set bits of
-words held as bytes, in uint8 arithmetic.
+words held as bytes, in uint8 arithmetic.  ``as_ints`` reads the integer
+inputs of the package's constructors (rows, field elements, support points)
+without truncating floats or parsing strings.
 
 Every GF(2)-linear map on words goes through one kernel: ``span(images)`` is
 the table of all 2^len(images) subset xors of the images, which is the map
@@ -26,6 +28,7 @@ the cached maps.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +38,26 @@ import numpy as np
 # promotion rules of numpy 1.x and 2.x alike
 _U1, _U2, _U4 = np.uint8(1), np.uint8(2), np.uint8(4)
 _M1, _M2, _M4 = np.uint8(0x55), np.uint8(0x33), np.uint8(0x0F)
+
+
+def as_ints(values, what: str) -> tuple[int, ...]:
+    """values as Python ints, each through ``operator.index``: Python and
+    numpy integers pass, while a float or a string raises a ValueError that
+    names the first such element as "<what> <element> is not an integer"
+    (``int`` would truncate 1.7 and read "11" as decimal eleven)."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    elif not isinstance(values, (list, tuple)):
+        values = list(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"{what} {v!r} is not an integer") from None
+        raise
 
 
 def parity(word: int) -> int:

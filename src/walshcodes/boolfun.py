@@ -135,11 +135,12 @@ class BooleanFunction:
     def from_support(field, support) -> "BooleanFunction":
         """The characteristic function of a set of field elements (no duplicates).
 
-        The first offending point in iteration order is named: one outside
-        the field, or one that repeats an earlier point.
+        A point that is not an integer (a float, a string) is named first;
+        otherwise the first offending point in iteration order is named: one
+        outside the field, or one that repeats an earlier point.
         """
         field = _as_field(field)
-        points = np.asarray([int(v) for v in support])
+        points = np.asarray(bitmat.as_ints(support, "support point"))
         outside = (points < 0) | (points >= field.order)
         stop = int(np.argmax(outside)) if outside.any() else points.size
         inside = points[:stop].astype(np.int64)

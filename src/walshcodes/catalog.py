@@ -7,6 +7,7 @@ machinery the cyclic constructions need.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -263,6 +264,11 @@ _BY_NAME = {
 }
 
 
+# an optional minus sign and ASCII digits; a negative value reaches the
+# family's own range check
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+
 def build_from_name(spec: str) -> BinaryCode:
     """Construct a catalog code from its CLI name string."""
     name, _, paramstr = spec.strip().partition(":")
@@ -275,10 +281,10 @@ def build_from_name(spec: str) -> BinaryCode:
                 raise ValueError(f"malformed parameter {chunk!r} in {spec!r}")
             if key.strip().lower() in params:
                 raise ValueError(f"parameter {key.strip()!r} repeated in {spec!r}")
-            try:
-                params[key.strip().lower()] = int(val)
-            except ValueError:
+            # int() alone also accepts _, a leading + and non-ASCII digits
+            if not _INTEGER.fullmatch(val):
                 raise ValueError(f"parameter {key.strip()!r} in {spec!r} is not an integer")
+            params[key.strip().lower()] = int(val)
 
     if name not in _BY_NAME:
         raise ValueError(f"unknown catalog code {name!r}")

@@ -25,10 +25,11 @@ import random
 import sys
 
 from . import catalog
-from .boolfun import BooleanFunction, random_function
+from .boolfun import random_function
 from .defining_set import (DefiningSet, NotProjectiveError, bivariate_view,
                            code_from_defining_set, extract_defining_set,
-                           spectral_weight_distribution, verify_spectral_distribution)
+                           extract_with_function, spectral_weight_distribution,
+                           verify_spectral_distribution)
 from .gf2 import MAX_M, field as get_field
 from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
                           random_spanning_rows)
@@ -97,7 +98,13 @@ def _resolve_code(spec: str) -> BinaryCode:
 
 def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool]:
     """The full analysis record for one code and whether both weight routes agree
-    (vacuously true when a route is skipped)."""
+    (vacuously true when a route is skipped).
+
+    For k <= ``MAX_M`` the defining set, the projectivity verdict and the
+    Boolean function all come from one ``extract_with_function``: a scatter
+    of the extracted values into f's truth table.  Above the field cap only
+    ``BinaryCode.is_projective`` is reported.  A non-projective code's error
+    text names its first bad column through ``NotProjectiveError.of``."""
     report: dict = {
         "code": label,
         "parameters": {"n": code.n, "k": code.k, "d": None},
@@ -121,20 +128,19 @@ def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool
         report["weight_distribution"]["bruteforce"] = \
             {str(w): c for w, c in sorted(dist.items())}
 
-    report["projective"] = code.is_projective()
-
-    if code.k > MAX_M:
+    if not 0 < code.k <= MAX_M:
+        report["projective"] = code.is_projective()  # the zero code raises here
         report["notes"].append(
             f"defining-set extraction skipped: k={code.k} above field cap {MAX_M}")
         return report, True
-    ds = extract_defining_set(code)
+    ds, f = extract_with_function(code)
+    report["projective"] = f is not None
     report["defining_set"] = ds.to_json_dict()
 
-    if not report["projective"]:
+    if f is None:
         report["boolean_function"] = {"error": str(NotProjectiveError.of(code))}
         return report, True
 
-    f = BooleanFunction.from_support(ds.field, ds.values)
     spec = f.walsh_transform()
     label_cls, hist = f.classify()
     spectral = spectral_weight_distribution(f)

@@ -10,6 +10,9 @@ Boolean function f the weight of the codeword c_x is (2*n_f + W_f(x)) / 4.
 That identity turns a single Walsh transform into the full weight
 distribution; this module implements both directions plus the split of a
 degree-2h field into two GF(2^h) coordinates (the bivariate view).
+Extraction also yields f itself: one scatter of the extracted elements into
+a 2^k-entry table decides projectivity (no 0, no repeat) and, for a
+projective code, is f's truth table (``extract_with_function``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class DefiningSet:
 
     def __init__(self, field, elements):
         self.field = field if isinstance(field, Field) else get_field(int(field))
-        values = tuple(map(int, elements))
+        values = bitmat.as_ints(elements, "element")
         if not values:
             raise ValueError("defining set must contain at least one element")
         if min(values) < 0 or max(values) >= self.field.order:
@@ -51,7 +54,7 @@ class DefiningSet:
     @staticmethod
     def from_support(field, support) -> "DefiningSet":
         """Canonical defining set of a support: ascending integer order."""
-        return DefiningSet(field, sorted(int(v) for v in support))
+        return DefiningSet(field, sorted(bitmat.as_ints(support, "element")))
 
     @property
     def n(self) -> int:
@@ -122,6 +125,22 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     k-row ``rref`` the code already holds.  The check compares the rebuilt
     column words with those of G, which is as strict as comparing rows.
     """
+    return extract_with_function(code, field, basis)[0]
+
+
+def extract_with_function(code: BinaryCode, field: Field | None = None,
+                          basis: Basis | None = None
+                          ) -> tuple[DefiningSet, BooleanFunction | None]:
+    """The defining set of ``extract_defining_set`` and, when the code is
+    projective, the Boolean function f whose support it is (None otherwise).
+
+    Both come from one uint8 scatter of the n extracted values d_j into a
+    table of 2^k entries.  Extraction is injective on columns: the map
+    G[:, j] -> d_j is GF(2)-linear and the self-check rebuilds every column
+    from its value.  So a zero column gives d_j = 0 and two equal columns give
+    equal values, and the code is projective exactly when the table has no 1
+    at 0 and n ones in all; the table is then f.
+    """
     if code.k == 0:
         raise ValueError("the zero code has no defining set")
     fld = field if field is not None else get_field(code.k)
@@ -142,17 +161,32 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     rebuilt = bitmat.linear_map(bitmat.columns([b.value for b in basis], fld.m), coords)
     if not np.array_equal(rebuilt, cols):
         raise AssertionError("extraction failed to reproduce the generator row")
-    return DefiningSet(fld, vals.tolist())
+    ds = DefiningSet(fld, vals.tolist())
+    table = np.zeros(fld.order, dtype=np.uint8)
+    table[vals] = 1
+    if table[0] or np.count_nonzero(table) != code.n:
+        return ds, None
+    return ds, BooleanFunction(fld, table)
 
 
 def boolean_from_code(code: BinaryCode, field: Field | None = None,
                       basis: Basis | None = None) -> BooleanFunction:
     """The characteristic function of the extracted defining set (the code
-    must be projective so that the set has distinct nonzero elements)."""
-    if not code.is_projective():
+    must be projective so that the set has distinct nonzero elements).
+
+    Projectivity is settled before any error of the extraction itself (a
+    rank above the field cap, a field or basis that does not fit): a
+    non-projective code raises ``NotProjectiveError``, and the zero code the
+    ValueError of ``BinaryCode.is_projective``."""
+    try:
+        _, fn = extract_with_function(code, field, basis)
+    except ValueError:
+        if not code.is_projective():  # the zero code raises here
+            raise NotProjectiveError.of(code) from None
+        raise
+    if fn is None:
         raise NotProjectiveError.of(code)
-    ds = extract_defining_set(code, field, basis)
-    return BooleanFunction.from_support(ds.field, ds.values)
+    return fn
 
 
 @dataclass(frozen=True)

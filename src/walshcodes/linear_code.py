@@ -29,7 +29,7 @@ class BinaryCode:
     """An [n, k] linear code over GF(2), presented by a spanning set of rows."""
 
     def __init__(self, rows, n: int):
-        rows = tuple(int(r) for r in rows)
+        rows = bitmat.as_ints(rows, "generator row")
         if n < 1:
             raise ValueError("code length must be positive")
         for r in rows:

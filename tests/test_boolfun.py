@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,16 @@ def test_from_support_rejects_duplicates_and_outsiders():
         BooleanFunction.from_support(f, [1, 1, 8])
     with pytest.raises(ValueError, match="support point 8 outside"):
         BooleanFunction.from_support(f, [1, 8, 1])
+
+
+@pytest.mark.parametrize("support,bad", [([1.5, 2], "1.5"), ([1, 2.0], "2.0"),
+                                         (["3"], "'3'"), (np.array([1.0, 2.0]), "1.0")])
+def test_from_support_rejects_points_that_are_not_integers(support, bad):
+    # int() would truncate 1.5 to 1 and read "3" as the point 3
+    with pytest.raises(ValueError, match=f"^support point {re.escape(bad)} is not an integer$"):
+        BooleanFunction.from_support(field(3), support)
+    ints = [np.uint32(4), np.int64(2), 1]
+    assert BooleanFunction.from_support(field(3), ints).support_values() == [1, 2, 4]
 
 
 def test_hex_round_trip():

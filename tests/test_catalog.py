@@ -1,5 +1,7 @@
 """Tests for the named code families and the name-string builder."""
 
+import re
+
 import pytest
 
 from walshcodes import gf2
@@ -306,3 +308,19 @@ def test_build_from_name_rejects_malformed_specs():
     ):
         with pytest.raises(ValueError):
             build_from_name(bad)
+
+
+@pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "3.0", "0x3", "", " "])
+def test_build_from_name_parameters_are_ascii_integers(value):
+    # int() alone accepts 1_0, +3 and the Arabic-Indic digit three
+    spec = f"simplex:k={value}"
+    with pytest.raises(ValueError, match=f"^parameter 'k' in {re.escape(repr(spec))} "
+                                         f"is not an integer$"):
+        build_from_name(spec)
+
+
+def test_build_from_name_parameters_keep_whitespace_and_the_minus_sign():
+    assert build_from_name("simplex:k= 3 ") == simplex(3)
+    assert build_from_name("bch:n=15, d=05") == bch_code(15, 5)
+    with pytest.raises(ValueError, match=r"^simplex needs 2 <= k <= 20, got -3$"):
+        build_from_name("simplex:k=-3")  # the family's own range message

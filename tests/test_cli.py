@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from walshcodes import catalog
-from walshcodes.cli import _build_parser, main
+from walshcodes.boolfun import BooleanFunction
+from walshcodes.cli import _build_parser, analyze_report, main
+from walshcodes.linear_code import BinaryCode
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +389,29 @@ def test_analyze_reports_of_wide_and_non_projective_codes_match_the_golden_diges
     assert hashlib.sha256("".join(out).encode()).hexdigest() == ANALYZE_COLUMN_KEYS_SHA256
 
 
+def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch):
+    # up to the field cap the verdict and f come from extract_with_function;
+    # is_projective runs only above the cap and to name a bad column
+    calls = []
+    is_projective = BinaryCode.is_projective
+    monkeypatch.setattr(BinaryCode, "is_projective",
+                        lambda self: calls.append(self.k) or is_projective(self))
+
+    def forbidden(*args):
+        raise AssertionError("from_support is not on the report's route")
+
+    monkeypatch.setattr(BooleanFunction, "from_support", staticmethod(forbidden))
+    for spec, k, projective, checks in (("simplex:k=4", 4, True, 0), ("golay23", 12, True, 0),
+                                        ("bch:n=63,d=17", 18, True, 0),
+                                        ("bch:n=21,d=9", 4, False, 1),
+                                        ("hamming:m=6", 57, True, 1)):
+        calls.clear()
+        report, ok = analyze_report(catalog.build_from_name(spec), spec, 24)
+        assert ok and report["parameters"]["k"] == k and report["projective"] is projective
+        assert (report["boolean_function"] is None) == (k > 20)
+        assert calls == [k] * checks
+
+
 # -- flags -----------------------------------------------------------------------------
 
 
@@ -460,6 +485,9 @@ def test_missing_subcommand_exits_2():
      "error: bad matrix file {dir}/m.txt: row '\u0661\u0660' contains characters other "
      "than 0/1"),
     (["analyze", "{dir}/m.txt"], {"m.txt": b"\n  \n"}, "error: matrix file {dir}/m.txt is empty"),
+    (["analyze", "simplex:k=1_0"], {},
+     "error: cannot build code from 'simplex:k=1_0': parameter 'k' in 'simplex:k=1_0' "
+     "is not an integer"),
     (["build", "{dir}/ds.json"], {"ds.json": b'{"m": 4, "modulus": "13"}'},
      "error: bad defining-set file {dir}/ds.json: missing key 'elements'"),
     (["build", "{dir}/ds.json"], {"ds.json": b'{"modulus": "13", "elements": ["1"]}'},
@@ -494,7 +522,8 @@ def test_missing_subcommand_exits_2():
      "error: --trials must be at least 1, got 0"),
     (["openproblems", "--max-k", "0"], {}, None),
 ], ids=["analyze-not-utf8", "analyze-ragged", "analyze-underscore-row", "analyze-signed-row",
-        "analyze-arabic-indic-digits", "analyze-blank", "build-no-elements", "build-no-m",
+        "analyze-arabic-indic-digits", "analyze-blank", "analyze-underscore-parameter",
+        "build-no-elements", "build-no-m",
         "build-no-modulus", "build-not-object", "build-int-modulus", "build-int-element",
         "build-not-utf8", "build-prefixed-modulus", "build-prefixed-element",
         "build-signed-element", "build-non-hex-element", "extract-not-utf8", "verify-zero-trials",

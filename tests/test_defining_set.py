@@ -18,6 +18,7 @@ from walshcodes.defining_set import (
     code_from_defining_set,
     codeword_weight,
     extract_defining_set,
+    extract_with_function,
     spectral_weight_distribution,
     verify_spectral_distribution,
 )
@@ -64,6 +65,26 @@ def test_defining_set_validation():
         BooleanFunction.from_support(f, DefiningSet(f, [1, 1]).values)  # a multiset
     fn = BooleanFunction.from_support(f, DefiningSet(f, [2, 1]).values)
     assert fn.support_values() == [1, 2]
+
+
+@pytest.mark.parametrize("values,bad", [([1.7, 2], "1.7"), (["5"], "'5'"),
+                                        ([3, 2.0], "2.0"), (np.array([1.0]), "1.0"),
+                                        (iter([4, None]), "None")])
+def test_defining_set_rejects_elements_that_are_not_integers(values, bad):
+    # int() would truncate 1.7 to 1 and read "5" as the element 5
+    with pytest.raises(ValueError, match=f"^element {re.escape(bad)} is not an integer$"):
+        DefiningSet(field(3), values)
+
+
+def test_defining_set_accepts_python_and_numpy_integers():
+    f = field(3)
+    assert DefiningSet(f, [np.uint32(5), np.int64(1), 2]).values == (5, 1, 2)
+    assert DefiningSet(f, np.array([7, 0], dtype=np.uint64)).values == (7, 0)
+    assert DefiningSet(f, (v for v in (3, 3))).values == (3, 3)
+    assert all(type(v) is int for v in DefiningSet(f, np.array([6, 1])).values)
+    assert DefiningSet.from_support(f, {np.int32(6), 2}).values == (2, 6)
+    with pytest.raises(ValueError, match=r"^element 1\.5 is not an integer$"):
+        DefiningSet.from_support(f, [1.5])
 
 
 def test_defining_set_json_round_trip():
@@ -295,6 +316,80 @@ def test_boolean_from_code_requires_projectivity():
         boolean_from_code(BinaryCode.from_rows(["11"]))
     with pytest.raises(NotProjectiveError, match="column 1 is zero"):
         boolean_from_code(BinaryCode.from_rows(["10"]))
+
+
+def test_boolean_from_code_reports_projectivity_before_extraction_errors():
+    repeated = BinaryCode.from_rows(["11"])
+    with pytest.raises(NotProjectiveError, match="columns 0 and 1 are identical"):
+        boolean_from_code(repeated, field=field(3))  # the field's degree does not fit either
+    with pytest.raises(NotProjectiveError, match="columns 0 and 1 are identical"):
+        boolean_from_code(repeated, basis=field(3).polynomial_basis())
+    with pytest.raises(ValueError, match="^projectivity of the zero code is undefined$"):
+        boolean_from_code(BinaryCode([0], 3))
+    with pytest.raises(ValueError, match="must have degree k=2, got m=3"):
+        boolean_from_code(BinaryCode.from_rows(["110", "011"]), field=field(3))
+    wide = [1 << i for i in range(21)]  # k = 21, above the field cap
+    with pytest.raises(NotProjectiveError, match="^cannot attach a Boolean function: "
+                                                 "generator column 21 is zero$"):
+        boolean_from_code(BinaryCode(wide, 22))
+    with pytest.raises(ValueError, match="m=21 outside supported range"):
+        boolean_from_code(BinaryCode(wide, 21))
+
+
+def column_defect_by_loop(rows, n):
+    """Reference for the not-projective text: the first zero column, or failing
+    that the first column equal to an earlier one, read off the given rows
+    (row operations keep both, so the echelon basis has the same ones)."""
+    cols = transpose_by_loop(rows, n)
+    if 0 in cols:
+        return f"generator column {cols.index(0)} is zero"
+    for j, c in enumerate(cols):
+        if cols.index(c) < j:
+            return f"generator columns {cols.index(c)} and {j} are identical"
+    return ""
+
+
+@st.composite
+def generator_matrices(draw):
+    """(rows, n) of a rank-k0 matrix, k0 = 1..12, with up to 40 columns besides
+    the k0 unit columns: distinct nonzero columns in any order, possibly with a
+    zero column or a repeated column put in, and possibly extra rows that are
+    sums of the others (dependent rows)."""
+    k0 = draw(st.integers(1, 12))
+    units = [1 << i for i in range(k0)]
+    extra = draw(st.lists(st.integers(1, (1 << k0) - 1).filter(lambda c: c & (c - 1)),
+                          max_size=min(40, (1 << k0) - 1 - k0), unique=True))
+    cols = draw(st.permutations(units + extra))
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), 0)
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), draw(st.sampled_from(cols)))
+    n = len(cols)
+    rows = [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k0)]
+    for mask in draw(st.lists(st.integers(0, (1 << k0) - 1), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), functools.reduce(
+            operator.xor, (r for i, r in enumerate(rows[:k0]) if mask >> i & 1), 0))
+    return rows, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(generator_matrices(), st.data())
+def test_the_extraction_scatter_reads_projectivity_and_the_function(matrix, data):
+    rows, n = matrix
+    code = BinaryCode(rows, n)
+    fld = field(code.k, data.draw(st.sampled_from(irreducibles(code.k))))
+    ds, fn = extract_with_function(code, field=fld)
+    assert ds == extract_defining_set(code, field=fld)
+    defect = column_defect_by_loop(rows, n)
+    assert (fn is not None) == code.is_projective() == (defect == "")
+    if fn is not None:
+        assert fn == BooleanFunction.from_support(ds.field, ds.values)
+        assert fn.field == fld and not fn.table.flags.writeable
+        assert boolean_from_code(code, field=fld) == fn
+    else:
+        with pytest.raises(NotProjectiveError,
+                           match=f"^{re.escape('cannot attach a Boolean function: ' + defect)}$"):
+            boolean_from_code(code, field=fld)
 
 
 def test_boolean_from_code_round_trip_up_to_column_order():

@@ -4,10 +4,12 @@ import functools
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,20 @@ def test_from_rows_rejects_bad_matrices():
             BinaryCode.from_rows(bad)
     with pytest.raises(ValueError):
         BinaryCode([4], 2)  # row spills outside the declared length
+
+
+@pytest.mark.parametrize("rows,bad", [(["11"], "'11'"), ([3.0], "3.0"), ([1, 2.5], "2.5"),
+                                      (np.array([1.0]), "1.0")])
+def test_code_rejects_rows_that_are_not_integers(rows, bad):
+    # int() would read "11" as decimal eleven and truncate 2.5 to 2
+    with pytest.raises(ValueError, match=f"^generator row {re.escape(bad)} is not an integer$"):
+        BinaryCode(rows, 4)
+
+
+def test_code_accepts_python_and_numpy_integer_rows():
+    code = BinaryCode([np.uint64(11), np.int8(4), 1], 4)
+    assert code.rows == (11, 4, 1) and all(type(r) is int for r in code.rows)
+    assert BinaryCode(np.array([3, 5]), 4).rows == (3, 5)
 
 
 def test_rank_is_derived_not_assumed():
