@@ -30,11 +30,7 @@ import functools
 import numpy as np
 
 from . import bitmat
-from .gf2 import Field, field as get_field, is_hex
-
-
-def _as_field(f) -> Field:
-    return f if isinstance(f, Field) else get_field(int(f))
+from .gf2 import Field, as_field, is_hex
 
 
 _DIGIT_BITS = 5
@@ -112,7 +108,7 @@ class BooleanFunction:
     """A function GF(2^m) -> GF(2), stored as a truth table indexed by word value."""
 
     def __init__(self, field, values):
-        self.field = _as_field(field)
+        self.field = as_field(field)
         table = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
         if table.shape != (self.field.order,):
             raise ValueError(
@@ -139,7 +135,7 @@ class BooleanFunction:
         otherwise the first offending point in iteration order is named: one
         outside the field, or one that repeats an earlier point.
         """
-        field = _as_field(field)
+        field = as_field(field)
         points = np.asarray(bitmat.as_ints(support, "support point"))
         outside = (points < 0) | (points >= field.order)
         stop = int(np.argmax(outside)) if outside.any() else points.size
@@ -186,7 +182,7 @@ class BooleanFunction:
 
     @staticmethod
     def from_hex(field, s: str) -> "BooleanFunction":
-        field = _as_field(field)
+        field = as_field(field)
         width = max(1, field.order // 4)
         if len(s) != width:
             raise ValueError(f"expected {width} hex digits for m={field.m}, got {len(s)}")
@@ -324,7 +320,7 @@ class Anf:
     """Algebraic normal form: an xor of monomials, each a mask of variables."""
 
     def __init__(self, field, monomials: frozenset[int]):
-        self.field = _as_field(field)
+        self.field = as_field(field)
         self.monomials = frozenset(int(x) for x in monomials)
         for x in self.monomials:
             if not 0 <= x < self.field.order:
@@ -362,7 +358,7 @@ class Anf:
 def trace_component(field, a: int) -> BooleanFunction:
     """The component function x -> Tr(a*x) = parity(x & T*a), a linear map
     of x whose image of bit i is bit i of T*a; a must be an m-bit word."""
-    field = _as_field(field)
+    field = as_field(field)
     tc = int(bitmat.linear_map(field.trace_form_rows, [field.element(a).value])[0])
     return BooleanFunction(field, bitmat.span([(tc >> i) & 1 for i in range(field.m)]))
 
@@ -374,7 +370,7 @@ def bent_function(field) -> BooleanFunction:
     field; without the twist the composition is identically zero, because
     x^(2^(m/2)+1) lands in the half field where the absolute trace vanishes.
     """
-    field = _as_field(field)
+    field = as_field(field)
     m = field.m
     if m % 2:
         raise ValueError(f"bent functions need even m, got {m}")
@@ -392,7 +388,7 @@ def bent_function(field) -> BooleanFunction:
 
 def random_function(field, rng, balanced: bool = False) -> BooleanFunction:
     """Uniformly random truth table (optionally balanced) from a seeded rng."""
-    field = _as_field(field)
+    field = as_field(field)
     if balanced:
         table = [1] * (field.order // 2) + [0] * (field.order - field.order // 2)
         rng.shuffle(table)

@@ -240,7 +240,7 @@ def irreducible_cyclic(m: int, big_n: int) -> tuple[BinaryCode, DefiningSet]:
     fld = get_field(m)
     if big_n < 1 or (fld.order - 1) % big_n:
         raise ValueError(f"N={big_n} does not divide 2^{m} - 1 = {fld.order - 1}")
-    ds = DefiningSet(fld, fld.exp_table[::big_n].tolist())
+    ds = DefiningSet(fld, fld.exp_table[::big_n])
     return code_from_defining_set(ds), ds
 
 

@@ -310,7 +310,7 @@ def _verify_catalog(rng, trials: int) -> list[str]:
         ("golay23 equals qr(23)", codes["golay23"] == catalog.quadratic_residue_code(23)),
         ("extended golay self-dual", g24 == g24.dual()),
         ("irrcyclic(3,1) is simplex up to column order", catalog.simplex(3)
-         == code_from_defining_set(DefiningSet.from_support(ds31.field, ds31.values))),
+         == code_from_defining_set(DefiningSet.from_support(ds31.field, ds31.array))),
     ]
     checks += [(f"simplex k={k} projective", codes[f"simplex:k={k}"].is_projective())
                for k in range(2, 11)]

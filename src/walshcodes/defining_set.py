@@ -10,20 +10,28 @@ Boolean function f the weight of the codeword c_x is (2*n_f + W_f(x)) / 4.
 That identity turns a single Walsh transform into the full weight
 distribution; this module implements both directions plus the split of a
 degree-2h field into two GF(2^h) coordinates (the bivariate view).
-Extraction also yields f itself: one scatter of the extracted elements into
-a 2^k-entry table decides projectivity (no 0, no repeat) and, for a
-projective code, is f's truth table (``extract_with_function``).
+
+A defining set is one read-only uint32 array of its n elements
+(``DefiningSet.array``), which it owns.  Building a code gathers the trace
+coordinates of that array and extraction produces such an array, so build,
+extract and rebuild never convert the elements to Python ints; the tuple
+``DefiningSet.values`` is built only when read.  ``extract_defining_set``
+stops after its self-check.  ``extract_with_function`` also yields f: one
+scatter of the extracted elements into a 2^k-entry table decides
+projectivity (no 0, no repeat) and, for a projective code, is f's truth
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import bitmat
 from .boolfun import BooleanFunction
-from .gf2 import Field, FieldElement, Basis, field as get_field, is_hex
+from .gf2 import Field, FieldElement, Basis, as_field, field as get_field, is_hex
 from .linear_code import BinaryCode
 
 
@@ -37,42 +45,74 @@ class NotProjectiveError(ValueError):
         return cls(f"cannot attach a Boolean function: {code.projectivity_defect()}")
 
 
+def _integers(elements):
+    """elements as a 1-D integer ndarray when numpy holds them in an integer
+    dtype, else as a tuple of Python ints (``bitmat.as_ints``, which names
+    the first element that is not an integer)."""
+    if not isinstance(elements, (np.ndarray, list, tuple)):
+        elements = list(elements)  # a generator is read once
+    try:
+        arr = np.asarray(elements)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is not None and arr.dtype.kind in "iu" and arr.ndim == 1:
+        return arr
+    return bitmat.as_ints(elements, "element")
+
+
 class DefiningSet:
     """An ordered (multi)set of GF(2^m) elements; order fixes the column order
-    of the generated code."""
+    of the generated code.
+
+    The elements are one read-only uint32 array, ``array``, which the set
+    owns: an input array is copied, never aliased.  ``values`` is the same
+    sequence as a tuple of Python ints, built on first read."""
 
     def __init__(self, field, elements):
-        self.field = field if isinstance(field, Field) else get_field(int(field))
-        values = bitmat.as_ints(elements, "element")
-        if not values:
+        self.field = as_field(field)
+        order = self.field.order
+        ints = _integers(elements)
+        if not len(ints):
             raise ValueError("defining set must contain at least one element")
-        if min(values) < 0 or max(values) >= self.field.order:
-            v = next(v for v in values if not 0 <= v < self.field.order)
+        if isinstance(ints, np.ndarray):
+            outside = (ints < 0) | (ints >= order)
+            if outside.any():
+                raise ValueError(f"element {int(ints[np.argmax(outside)])} "
+                                 f"outside GF(2^{self.field.m})")
+        elif min(ints) < 0 or max(ints) >= order:
+            v = next(v for v in ints if not 0 <= v < order)
             raise ValueError(f"element {v} outside GF(2^{self.field.m})")
-        self.values = values
+        self.array = np.array(ints, dtype=np.uint32)
+        self.array.setflags(write=False)
 
     @staticmethod
     def from_support(field, support) -> "DefiningSet":
         """Canonical defining set of a support: ascending integer order."""
-        return DefiningSet(field, sorted(bitmat.as_ints(support, "element")))
+        ints = _integers(support)
+        return DefiningSet(field, np.sort(ints) if isinstance(ints, np.ndarray) else sorted(ints))
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.array.size
 
     @property
     def is_multiset(self) -> bool:
-        return len(set(self.values)) < len(self.values)
+        s = np.sort(self.array)
+        return bool((s[1:] == s[:-1]).any())
 
     def elements(self) -> list[FieldElement]:
-        return [self.field.element(v) for v in self.values]
+        return [self.field.element(v) for v in self.array.tolist()]
 
     def __eq__(self, other):
-        return (isinstance(other, DefiningSet)
-                and self.field == other.field and self.values == other.values)
+        return (isinstance(other, DefiningSet) and self.field == other.field
+                and np.array_equal(self.array, other.array))
 
     def __hash__(self):
-        return hash((self.field, self.values))
+        return hash((self.field, self.array.tobytes()))
 
     def __repr__(self):
         return f"DefiningSet(m={self.field.m}, n={self.n})"
@@ -80,7 +120,8 @@ class DefiningSet:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {**self.field.to_json_dict(), "elements": [format(v, "x") for v in self.values]}
+        return {**self.field.to_json_dict(),
+                "elements": [format(v, "x") for v in self.array.tolist()]}
 
     @staticmethod
     def from_json_dict(d: dict) -> "DefiningSet":
@@ -102,7 +143,7 @@ def code_from_defining_set(ds: DefiningSet) -> BinaryCode:
     Column j is the trace-coordinate word of d_j, a GF(2)-linear map of d_j:
     O(n) numpy work plus the m-row ``rref`` of the code."""
     f = ds.field
-    cols = bitmat.linear_map(f.trace_form_rows, ds.values)
+    cols = bitmat.linear_map(f.trace_form_rows, ds.array)
     return BinaryCode(bitmat.rows_of(cols, f.m), ds.n)
 
 
@@ -110,7 +151,7 @@ def codeword_weight(ds: DefiningSet, x) -> int:
     """Hamming weight of c_x by direct coordinate counting (oracle path)."""
     f = ds.field
     x = int(x)
-    return sum(f.trace(f.mul(x, v)) for v in ds.values)
+    return sum(f.trace(f.mul(x, v)) for v in ds.array.tolist())
 
 
 def extract_defining_set(code: BinaryCode, field: Field | None = None,
@@ -124,22 +165,6 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     GF(2)-linear maps on the column words of G: O(n) numpy work on top of the
     k-row ``rref`` the code already holds.  The check compares the rebuilt
     column words with those of G, which is as strict as comparing rows.
-    """
-    return extract_with_function(code, field, basis)[0]
-
-
-def extract_with_function(code: BinaryCode, field: Field | None = None,
-                          basis: Basis | None = None
-                          ) -> tuple[DefiningSet, BooleanFunction | None]:
-    """The defining set of ``extract_defining_set`` and, when the code is
-    projective, the Boolean function f whose support it is (None otherwise).
-
-    Both come from one uint8 scatter of the n extracted values d_j into a
-    table of 2^k entries.  Extraction is injective on columns: the map
-    G[:, j] -> d_j is GF(2)-linear and the self-check rebuilds every column
-    from its value.  So a zero column gives d_j = 0 and two equal columns give
-    equal values, and the code is projective exactly when the table has no 1
-    at 0 and n ones in all; the table is then f.
     """
     if code.k == 0:
         raise ValueError("the zero code has no defining set")
@@ -161,12 +186,28 @@ def extract_with_function(code: BinaryCode, field: Field | None = None,
     rebuilt = bitmat.linear_map(bitmat.columns([b.value for b in basis], fld.m), coords)
     if not np.array_equal(rebuilt, cols):
         raise AssertionError("extraction failed to reproduce the generator row")
-    ds = DefiningSet(fld, vals.tolist())
-    table = np.zeros(fld.order, dtype=np.uint8)
-    table[vals] = 1
-    if table[0] or np.count_nonzero(table) != code.n:
+    return DefiningSet(fld, vals)
+
+
+def extract_with_function(code: BinaryCode, field: Field | None = None,
+                          basis: Basis | None = None
+                          ) -> tuple[DefiningSet, BooleanFunction | None]:
+    """The defining set of ``extract_defining_set`` and, when the code is
+    projective, the Boolean function f whose support it is (None otherwise).
+
+    Both come from one uint8 scatter of the n extracted values d_j into a
+    table of 2^k entries.  Extraction is injective on columns: the map
+    G[:, j] -> d_j is GF(2)-linear and the self-check rebuilds every column
+    from its value.  So a zero column gives d_j = 0 and two equal columns give
+    equal values, and the code is projective exactly when the table has no 1
+    at 0 and n ones in all; the table is then f.
+    """
+    ds = extract_defining_set(code, field, basis)
+    table = np.zeros(ds.field.order, dtype=np.uint8)
+    table[ds.array] = 1
+    if table[0] or np.count_nonzero(table) != ds.n:
         return ds, None
-    return ds, BooleanFunction(fld, table)
+    return ds, BooleanFunction(ds.field, table)
 
 
 def boolean_from_code(code: BinaryCode, field: Field | None = None,
@@ -285,10 +326,11 @@ def bivariate_view(ds: DefiningSet, h: int):
         raise ValueError(f"bivariate view needs m = 2h, got m={big.m}, h={h}")
     emb = big.subfield(h)
     sides = [bitmat.linear_map([emb.down(big.relative_trace_raw(big.mul(c, 1 << i), h))
-                                for i in range(big.m)], ds.values).tolist()
+                                for i in range(big.m)], ds.array)
              for c in (1, big.alpha.value)]
     small = emb.small
-    pairs = [(small.element(d1), small.element(d2)) for d1, d2 in zip(*sides)]
+    pairs = [(small.element(d1), small.element(d2))
+             for d1, d2 in zip(*(side.tolist() for side in sides))]
 
     # generator rows of C_E: x runs over the GF(2)-basis of GF(2^h)^2, so each
     # coordinate contributes the rows of its own code over GF(2^h)

@@ -14,6 +14,7 @@ relative traces, trace-dual bases, and coordinates with respect to a basis.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -345,6 +346,20 @@ class Field:
 def field(m: int, modulus: int | None = None) -> Field:
     """Interned Field constructor; repeated lookups share lazy caches."""
     return Field(m, modulus)
+
+
+def as_field(f) -> Field:
+    """f itself if it is a Field, else the interned field of degree f.  The
+    degree is read through ``operator.index``: Python and numpy integers
+    pass, while a float or a string raises a ValueError naming it (``int``
+    would truncate 3.7 and read "3" as decimal three)."""
+    if isinstance(f, Field):
+        return f
+    try:
+        m = operator.index(f)
+    except TypeError:
+        raise ValueError(f"field {f!r} is neither a Field nor an integer degree") from None
+    return field(m)
 
 
 class FieldElement:

@@ -24,7 +24,7 @@ from walshcodes.defining_set import (
 )
 from walshcodes.gf2 import Basis, Field, field, is_irreducible
 from walshcodes.linear_code import BinaryCode
-from walshcodes import bitmat
+from walshcodes import bitmat, defining_set
 
 from test_bitmat import transpose_by_loop
 
@@ -85,6 +85,128 @@ def test_defining_set_accepts_python_and_numpy_integers():
     assert DefiningSet.from_support(f, {np.int32(6), 2}).values == (2, 6)
     with pytest.raises(ValueError, match=r"^element 1\.5 is not an integer$"):
         DefiningSet.from_support(f, [1.5])
+
+
+def _generator(values):
+    return (v for v in values)
+
+
+# every container a caller may hand over; the int8 array takes only elements < 128
+CONTAINERS = {
+    "list": list, "tuple": tuple, "generator": _generator,
+    "int8": functools.partial(np.array, dtype=np.int8),
+    "uint16": functools.partial(np.array, dtype=np.uint16),
+    "int64": functools.partial(np.array, dtype=np.int64),
+    "uint32": functools.partial(np.array, dtype=np.uint32),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_every_container_of_the_same_integers_gives_the_same_set(data):
+    m = data.draw(st.integers(1, 13))
+    fld = field(m)
+    values = data.draw(st.lists(st.integers(0, fld.order - 1), min_size=1, max_size=64))
+    kinds = [k for k in CONTAINERS if k != "int8" or max(values) < 128]
+    sets = [DefiningSet(fld, CONTAINERS[k](values)) for k in kinds]
+    first = sets[0]
+    for ds in sets:
+        assert ds.array.dtype == np.uint32 and not ds.array.flags.writeable
+        assert ds.values == tuple(values) and all(type(v) is int for v in ds.values)
+        assert ds == first and hash(ds) == hash(first)
+        assert ds.n == len(values)
+        assert ds.is_multiset == (len(set(values)) < len(values))
+        assert ds.to_json_dict() == {**fld.to_json_dict(),
+                                     "elements": [format(v, "x") for v in values]}
+        assert DefiningSet.from_support(fld, CONTAINERS["list"](values)).values \
+            == tuple(sorted(values))
+    # build -> extract -> rebuild reproduces the code, column for column
+    code = code_from_defining_set(first)
+    assert all(code_from_defining_set(ds) == code for ds in sets)
+    if code.k:
+        ext = extract_defining_set(code)
+        assert ext.array.dtype == np.uint32 and not ext.array.flags.writeable
+        assert code_from_defining_set(ext) == code
+        assert ext == DefiningSet(ext.field, list(ext.values))
+
+
+HUGE = 1 << 70
+
+
+@pytest.mark.parametrize("elements,message", [
+    ([2, 1.5, 3], "element 1.5 is not an integer"),
+    ((2, 1.5, 3), "element 1.5 is not an integer"),
+    (_generator([2, 1.5, 3]), "element 1.5 is not an integer"),
+    (np.array([2, 1.5]), "element 2.0 is not an integer"),
+    (["5"], "element '5' is not an integer"),
+    (np.array(["5"]), "element '5' is not an integer"),
+    ([1, [2, 3]], "element [2, 3] is not an integer"),
+    ([1, HUGE], f"element {HUGE} outside GF(2^3)"),
+    ([1 << 63, 1], f"element {1 << 63} outside GF(2^3)"),  # held as uint64
+    ([1 << 64, -1], f"element {1 << 64} outside GF(2^3)"),
+    ([-1, 1 << 63], "element -1 outside GF(2^3)"),  # held as float64
+    ([3, -2, 9], "element -2 outside GF(2^3)"),
+    (np.array([3, -2, 9], dtype=np.int8), "element -2 outside GF(2^3)"),
+    (np.array([3, 9, -2], dtype=np.int64), "element 9 outside GF(2^3)"),
+    (np.array([3, 1 << 40], dtype=np.uint64), f"element {1 << 40} outside GF(2^3)"),
+    ([], "defining set must contain at least one element"),
+    ((), "defining set must contain at least one element"),
+    (_generator([]), "defining set must contain at least one element"),
+    (np.array([]), "defining set must contain at least one element"),
+    (np.array([], dtype=np.uint32), "defining set must contain at least one element"),
+])
+def test_defining_set_error_texts_do_not_depend_on_the_container(elements, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DefiningSet(field(3), elements)
+
+
+def test_from_support_names_the_least_element_outside_the_field():
+    # the support is sorted before it is checked, for lists and arrays alike
+    for support in ([9, -1, 2], np.array([9, -1, 2])):
+        with pytest.raises(ValueError, match=r"^element -1 outside GF\(2\^2\)$"):
+            DefiningSet.from_support(field(2), support)
+    with pytest.raises(ValueError, match=r"^element 1\.5 is not an integer$"):
+        DefiningSet.from_support(field(2), [9, 1.5])
+
+
+def test_defining_set_owns_a_read_only_copy_of_its_elements():
+    f = field(4)
+    for dtype in (np.uint32, np.int64, np.uint8):
+        given_array = np.array([3, 1, 3], dtype=dtype)
+        ds = DefiningSet(f, given_array)
+        assert not ds.array.flags.writeable
+        with pytest.raises(ValueError):
+            ds.array[0] = 5
+        assert not np.shares_memory(ds.array, given_array)
+        given_array[0] = 9  # after construction, before values is first read
+        assert ds.values == (3, 1, 3) and list(ds.array) == [3, 1, 3]
+        given_array[1] = 9
+        assert ds.values == (3, 1, 3) and list(ds.array) == [3, 1, 3]
+        assert given_array.flags.writeable
+    ds = DefiningSet(f, f.exp_table[::5])  # a strided view of a read-only table
+    assert ds.array.flags.c_contiguous and not np.shares_memory(ds.array, f.exp_table)
+    code = code_from_defining_set(ds)
+    ext = extract_defining_set(code)
+    assert not ext.array.flags.writeable
+    assert code_from_defining_set(ext) == code
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: DefiningSet(3.7, [1]), "3.7"),
+    (lambda: DefiningSet("3", [1]), "'3'"),
+    (lambda: BooleanFunction.from_support(2.9, [1]), "2.9"),
+])
+def test_field_argument_must_be_an_integer_degree(call, bad):
+    # int() would read 3.7 and "3" as GF(2^3) and 2.9 as GF(2^2)
+    with pytest.raises(ValueError, match=f"^field {re.escape(bad)} is neither a Field "
+                                         f"nor an integer degree$"):
+        call()
+
+
+def test_field_argument_may_be_a_numpy_integer():
+    assert DefiningSet(np.int64(3), [1]).field is field(3)
+    assert BooleanFunction.from_support(np.uint8(2), [1]).field is field(2)
+    assert DefiningSet(field(3, 0b1101), [1]).field == field(3, 0b1101)
 
 
 def test_defining_set_json_round_trip():
@@ -255,6 +377,19 @@ def test_extract_self_check_rejects_a_wrong_dual_basis():
                        match="^extraction failed to reproduce the generator row$"):
         extract_defining_set(code, field=fld)
     assert code_from_defining_set(extract_defining_set(code, field=field(3))) == code
+
+
+def test_extract_defining_set_stops_after_the_self_check(monkeypatch):
+    # only extract_with_function scatters the values into a truth table
+    code = code_from_defining_set(DefiningSet.from_support(field(4), range(1, 16)))
+
+    def refuse(*args):
+        raise AssertionError("a Boolean function was built")
+
+    monkeypatch.setattr(defining_set, "BooleanFunction", refuse)
+    assert code_from_defining_set(extract_defining_set(code)) == code
+    with pytest.raises(AssertionError, match="^a Boolean function was built$"):
+        extract_with_function(code)
 
 
 @functools.cache
