@@ -7,10 +7,13 @@ columns are invisible in the int encoding.
 Any matrix has a packed-column form, one row of ``ceil(k/8)`` bytes per
 column (``packed_columns``); a matrix of at most 32 rows also has a
 column-word form: a numpy ``uint32`` array whose entry j has bit i equal to
-row i, column j (``columns`` zero-pads the packed columns).  ``packed_columns``
-and ``rows_of`` share one bit-transpose, ``np.unpackbits`` along one axis and
-``np.packbits`` along the other.  ``word_weights`` counts the set bits of
-words held as bytes, in uint8 arithmetic.  ``as_ints`` reads the integer
+row i, column j (``columns``).  ``packed_columns``, ``columns``, ``rows_of``
+and ``transpose`` share one bit-transpose, ``_transpose_bits``, which packs
+only along a contiguous axis: a narrow matrix is unpacked to one byte per bit
+and packed again across its rows, and a matrix of 128 or more columns is
+spread through a 2048-entry table, one gather per input byte, then or-reduced
+over each run of 8 rows.  ``word_weights`` counts the set bits of words held
+as bytes, in uint8 arithmetic.  ``as_ints`` and ``integers`` read the integer
 inputs of the package's constructors (rows, field elements, support points)
 without truncating floats or parsing strings.
 
@@ -58,6 +61,21 @@ def as_ints(values, what: str) -> tuple[int, ...]:
             except TypeError:
                 raise ValueError(f"{what} {v!r} is not an integer") from None
         raise
+
+
+def integers(values, what: str):
+    """values as a 1-D integer ndarray when numpy holds them in an integer
+    dtype, else as a tuple of Python ints (``as_ints``, which names the first
+    value that is not an integer as "<what> <value>")."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)  # a generator is read once
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is not None and arr.dtype.kind in "iu" and arr.ndim == 1:
+        return arr
+    return as_ints(values, what)
 
 
 def parity(word: int) -> int:
@@ -161,8 +179,7 @@ def columns(rows: list[int], n: int) -> np.ndarray:
     k = len(rows)
     if k > 32:
         raise ValueError(f"{k} rows do not fit in 32-bit column words")
-    words = np.zeros((n, 4), dtype=np.uint8)
-    words[:, :(k + 7) // 8] = packed_columns(rows, n)
+    words = _transpose_bits(row_bytes(rows, n), n, 4)  # 4 bytes a column, zero-padded
     return words.view("<u4").ravel().astype(np.uint32, copy=False)
 
 
@@ -173,10 +190,46 @@ def rows_of(cols: np.ndarray, k: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in _transpose_bits(words, k)]
 
 
-def _transpose_bits(rows: np.ndarray, width: int) -> np.ndarray:
-    """The first width bit columns of uint8 rows (bit j in bit j % 8 of byte j // 8), as rows."""
-    bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
-    return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+# Byte c of entry 256*s + b is bit c of the byte b moved to bit s: the gather
+# of row i's bytes at offset 256*(i % 8) spreads each of them over 8 column
+# bytes, in the bit that row i takes in its column's byte.
+_SPREAD = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+           .view("<u8") << np.arange(8, dtype=np.uint64)).T.ravel().astype("<u8", copy=False)
+_SPREAD.setflags(write=False)
+_ROW_OFFSETS = np.arange(0, 2048, 256, dtype=np.uint16)[:, None]
+# below 128 columns the gather's fixed cost outweighs its gain (BENCH_18.json)
+_GATHER_MIN_WIDTH = 128
+
+
+def _transpose_bits(rows: np.ndarray, width: int, nbytes: int = 0) -> np.ndarray:
+    """The first width bit columns of uint8 rows (bit j in bit j % 8 of byte
+    j // 8), as rows of max(nbytes, ceil(len(rows)/8)) bytes, zero-padded.
+
+    Both branches pack along a contiguous axis.  A narrow matrix is unpacked
+    to one byte per bit, and the transposed bytes are copied, then packed
+    along their rows; at most 16 rows are packed without the copy, as each
+    output byte then gathers its 8 bits from nearby bytes.  A matrix of 128
+    or more columns gathers every byte of row i from ``_SPREAD`` at offset
+    256*(i % 8) and or-reduces each block of 8 rows into one uint64 word per
+    input byte p, whose byte c holds column 8p + c of the block; a byte
+    transpose of those words gives the columns."""
+    count, size = rows.shape
+    blocks = (count + 7) // 8
+    if width < _GATHER_MIN_WIDTH or width > 8 * size:
+        bits = np.unpackbits(rows, axis=1, count=width, bitorder="little").T
+        if nbytes > blocks:
+            padded = np.zeros((width, 8 * nbytes), dtype=np.uint8)
+            padded[:, :count] = bits
+            bits = padded
+        elif count > 16:
+            bits = np.ascontiguousarray(bits)
+        return np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little"))
+    index = np.zeros((blocks, 8, size), dtype=np.uint16)
+    index.reshape(8 * blocks, size)[:count] = rows
+    index += _ROW_OFFSETS
+    words = np.zeros((max(nbytes, blocks), size), dtype="<u8")
+    np.bitwise_or.reduce(_SPREAD[index], axis=1, out=words[:blocks])
+    return np.ascontiguousarray(words.view(np.uint8).T[:width])
 
 
 def linear_map(images, words) -> np.ndarray:

@@ -136,7 +136,7 @@ class BooleanFunction:
         outside the field, or one that repeats an earlier point.
         """
         field = as_field(field)
-        points = np.asarray(bitmat.as_ints(support, "support point"))
+        points = np.asarray(bitmat.integers(support, "support point"))
         outside = (points < 0) | (points >= field.order)
         stop = int(np.argmax(outside)) if outside.any() else points.size
         inside = points[:stop].astype(np.int64)

@@ -45,21 +45,6 @@ class NotProjectiveError(ValueError):
         return cls(f"cannot attach a Boolean function: {code.projectivity_defect()}")
 
 
-def _integers(elements):
-    """elements as a 1-D integer ndarray when numpy holds them in an integer
-    dtype, else as a tuple of Python ints (``bitmat.as_ints``, which names
-    the first element that is not an integer)."""
-    if not isinstance(elements, (np.ndarray, list, tuple)):
-        elements = list(elements)  # a generator is read once
-    try:
-        arr = np.asarray(elements)
-    except ValueError:  # a ragged list
-        arr = None
-    if arr is not None and arr.dtype.kind in "iu" and arr.ndim == 1:
-        return arr
-    return bitmat.as_ints(elements, "element")
-
-
 class DefiningSet:
     """An ordered (multi)set of GF(2^m) elements; order fixes the column order
     of the generated code.
@@ -71,7 +56,7 @@ class DefiningSet:
     def __init__(self, field, elements):
         self.field = as_field(field)
         order = self.field.order
-        ints = _integers(elements)
+        ints = bitmat.integers(elements, "element")
         if not len(ints):
             raise ValueError("defining set must contain at least one element")
         if isinstance(ints, np.ndarray):
@@ -88,7 +73,7 @@ class DefiningSet:
     @staticmethod
     def from_support(field, support) -> "DefiningSet":
         """Canonical defining set of a support: ascending integer order."""
-        ints = _integers(support)
+        ints = bitmat.integers(support, "element")
         return DefiningSet(field, np.sort(ints) if isinstance(ints, np.ndarray) else sorted(ints))
 
     @cached_property
@@ -309,7 +294,7 @@ def verify_spectral_distribution(f: BooleanFunction) -> bool:
     """True iff the spectral distribution matches brute-force enumeration of
     the code generated by f's support."""
     report = spectral_weight_distribution(f)
-    code = code_from_defining_set(DefiningSet.from_support(f.field, f.support_values()))
+    code = code_from_defining_set(DefiningSet.from_support(f.field, np.flatnonzero(f.table)))
     return report.weights == code.weight_distribution() and report.dimension == code.k
 
 

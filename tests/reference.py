@@ -1,7 +1,8 @@
 """References shared by the test modules, each independent of the fast path
 it checks: the Walsh transform as the explicit character matrix times the
-sign vector, and the algebraic normal form by the Moebius butterfly on one
-byte per point."""
+sign vector, the algebraic normal form by the Moebius butterfly on one
+byte per point, and the bit-transpose by one byte per bit packed down the
+strided axis."""
 
 import functools
 
@@ -65,3 +66,11 @@ def degree_by_monomials(table) -> int:
     return max((int(x).bit_count() for x in np.flatnonzero(moebius_by_bytes(table))),
                default=0)
 
+
+
+def transpose_bits_by_packbits(rows, width) -> np.ndarray:
+    """The first width bit columns of uint8 rows (bit j in bit j % 8 of byte
+    j // 8) as rows of ceil(len(rows)/8) bytes: every bit unpacked to a byte,
+    then packed down the row axis and transposed."""
+    bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshcodes import bitmat
+from walshcodes.defining_set import DefiningSet, code_from_defining_set
+from walshcodes.gf2 import field
+from reference import transpose_bits_by_packbits
 
 
 def span(rows):
@@ -244,6 +247,101 @@ def test_packed_columns_agree_with_transpose_for_any_row_count():
         expected = transpose_by_loop(rows, n)
         assert [int.from_bytes(c.tobytes(), "little") for c in packed] == expected
         assert bitmat.transpose(rows, n) == expected
+
+
+def sizes(top):
+    """Sizes up to top, weighted towards the byte edges 8j - 1, 8j, 8j + 1
+    and the edges of the kernel's branches (16 rows, 128 columns)."""
+    edges = sorted({v for j in range(top // 8 + 1) for v in (8 * j - 1, 8 * j, 8 * j + 1)
+                    if 0 <= v <= top})
+    return st.one_of(st.integers(0, top), st.sampled_from(edges),
+                     st.sampled_from([v for v in (16, 17, 127, 128, 129) if v <= top]))
+
+
+def packed_by_reference(rows, n):
+    return transpose_bits_by_packbits(bitmat.row_bytes(rows, n), n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_columns_and_transpose_match_the_packbits_kernel(data):
+    """Both branches of the bit-transpose, on either side of rows = width,
+    against the unpack-and-pack-down-the-rows kernel and, on small matrices,
+    the bit loop."""
+    n = data.draw(sizes(300), label="n")
+    k = data.draw(st.one_of(sizes(300), st.sampled_from([max(n - 1, 0), n, n + 1])), label="k")
+    rows = random_rows(random.Random(data.draw(st.integers(0, 2**32 - 1))), k, n)
+    packed = bitmat.packed_columns(rows, n)
+    assert packed.dtype == np.uint8 and packed.shape == (n, (k + 7) // 8)
+    assert packed.flags.c_contiguous
+    assert np.array_equal(packed, packed_by_reference(rows, n))
+    # columns past the rows' bytes read as zero columns (rows of no bytes are
+    # left out: np.unpackbits pads them with uninitialised memory)
+    wider = n + data.draw(st.integers(0, 200) if n else st.just(0), label="extra columns")
+    words = bitmat.row_bytes(rows, n)
+    assert np.array_equal(bitmat._transpose_bits(words, wider),
+                          transpose_bits_by_packbits(words, wider))
+    cols = bitmat.transpose(rows, n)
+    assert bitmat.transpose(cols, k) == rows
+    if k * n <= 4096:
+        assert cols == transpose_by_loop(rows, n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_columns_and_rows_of_match_the_packbits_kernel(data):
+    n = data.draw(sizes(300), label="n")
+    k = data.draw(st.one_of(st.integers(0, 32), st.sampled_from([7, 8, 9, 15, 16, 17, 31, 32])),
+                  label="k")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    rows = random_rows(rng, k, n)
+    cols = bitmat.columns(rows, n)
+    assert cols.dtype == np.uint32 and cols.shape == (n,)
+    words = np.zeros((n, 4), dtype=np.uint8)
+    words[:, :(k + 7) // 8] = packed_by_reference(rows, n)
+    assert cols.tolist() == words.view("<u4").ravel().tolist()
+    assert bitmat.rows_of(cols, k) == rows
+    # column words with bits at and above k, which rows_of ignores
+    junk = np.array(random_rows(rng, n, 32), dtype=np.uint32)
+    expected = transpose_bits_by_packbits(junk.astype("<u4").view(np.uint8).reshape(n, 4), k)
+    assert bitmat.rows_of(junk, k) == [int.from_bytes(r.tobytes(), "little") for r in expected]
+
+
+@pytest.mark.parametrize("n,k", [(4096, 13), (65535, 16), (255, 247)])
+def test_transposes_of_large_matrices_match_the_packbits_kernel(n, k):
+    """k rows of n bits and back: the roundtrip benchmark's largest shape,
+    the simplex code of dimension 16 and the [255, 247] Hamming code."""
+    rows = random_rows(random.Random(n * k), k, n)
+    packed = bitmat.packed_columns(rows, n)
+    assert np.array_equal(packed, packed_by_reference(rows, n))
+    cols = [int.from_bytes(c.tobytes(), "little") for c in packed]
+    assert np.array_equal(bitmat.packed_columns(cols, k), packed_by_reference(cols, k))
+    assert bitmat.transpose(cols, k) == rows
+    if k <= 32:
+        words = bitmat.columns(rows, n)
+        assert words.tolist() == cols
+        assert bitmat.rows_of(words, k) == rows
+
+
+@pytest.mark.parametrize("width", [13, 200])
+def test_transpose_reads_a_read_only_input_and_leaves_it_unchanged(width):
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 256, size=(40, (width + 7) // 8), dtype=np.uint8)
+    before = rows.copy()
+    rows.setflags(write=False)
+    for nbytes in (0, 8):
+        got = bitmat._transpose_bits(rows, width, nbytes)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert np.array_equal(got[:, :5], transpose_bits_by_packbits(rows, width))
+        assert not got[:, 5:].any()
+    assert np.array_equal(rows, before)
+    ds = DefiningSet(field(10), rng.permutation(1 << 10)[:300])
+    array = ds.array.copy()
+    assert not ds.array.flags.writeable
+    cols = bitmat.columns(bitmat.rows_of(ds.array, 10), 300)
+    assert np.array_equal(cols, ds.array)
+    assert code_from_defining_set(ds) == code_from_defining_set(DefiningSet(field(10), array))
+    assert np.array_equal(ds.array, array)
 
 
 @pytest.mark.parametrize("nbytes", [1, 3, 31, 32, 33, 8191, 8192])

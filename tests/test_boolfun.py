@@ -250,6 +250,24 @@ def test_from_support_equals_the_set_loop(data):
     assert got == outcome(from_support_by_set_loop, f, support)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_from_support_reads_integer_arrays_like_lists(data):
+    """An integer array, read-only or not, names the same first bad point as
+    the list of its values, and builds the same function."""
+    f = field(data.draw(st.integers(1, 6)))
+    dtype = np.dtype(data.draw(st.sampled_from([np.int64, np.int16, np.uint32, np.uint8])))
+    low = -2 if dtype.kind == "i" else 0
+    support = data.draw(st.lists(st.integers(low, f.order + 1), max_size=f.order + 2,
+                                 unique=data.draw(st.booleans())))
+    points = np.array(support, dtype=dtype)
+    points.setflags(write=data.draw(st.booleans()))
+    want = outcome(from_support_by_set_loop, f, support)
+    assert outcome(BooleanFunction.from_support, f, points) == want
+    assert outcome(BooleanFunction.from_support, f, support) == want
+    assert np.array_equal(points, np.array(support, dtype=dtype))
+
+
 def test_hex_width_and_validation():
     f = field(3)
     fn = BooleanFunction.from_support(f, [0])
