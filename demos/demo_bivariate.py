@@ -19,7 +19,7 @@ def main():
     pairs, code_pairs = bivariate_view(ds, 2)
     print("\nGF(4)-pairs (d1, d2) with d = lift(d1)*v1 + lift(d2)*v2:")
     for d, (d1, d2) in zip(ds.values, pairs):
-        print(f"  d = {d:x}  ->  ({int(d1)}, {int(d2)})")
+        print(f"  d = {d:x}  ->  ({d1}, {d2})")
 
     direct = code_from_defining_set(ds)
     print(f"\ncode from pairs:     [n, k] = [{code_pairs.n}, {code_pairs.k}]")

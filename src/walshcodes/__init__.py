@@ -9,9 +9,7 @@ together with brute-force oracles, a catalog of classical code families,
 and a CLI.
 """
 
-from .gf2 import (MAX_M, Basis, Field, FieldElement, FieldMismatchError,
-                  coordinates, default_modulus, dual_basis, field,
-                  is_irreducible)
+from .gf2 import MAX_M, Field, default_modulus, field, is_irreducible
 from .boolfun import (Anf, BooleanFunction, WalshSpectrum, bent_function,
                       random_function)
 from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
@@ -28,8 +26,7 @@ from .catalog import build_from_name
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_M", "Basis", "Field", "FieldElement", "FieldMismatchError",
-    "coordinates", "default_modulus", "dual_basis", "field", "is_irreducible",
+    "MAX_M", "Field", "default_modulus", "field", "is_irreducible",
     "Anf", "BooleanFunction", "WalshSpectrum", "bent_function",
     "random_function",
     "ENUMERATION_LIMIT", "BinaryCode", "macwilliams_transform", "random_spanning_rows",

@@ -150,10 +150,6 @@ class BooleanFunction:
             raise ValueError(f"support point {int(points[stop])} outside GF(2^{field.m})")
         return BooleanFunction(field, counts.astype(np.uint8))
 
-    def support(self):
-        """The set {x : f(x) = 1} as FieldElements in ascending order."""
-        return [self.field.element(int(v)) for v in np.flatnonzero(self.table)]
-
     def support_values(self) -> list[int]:
         return [int(v) for v in np.flatnonzero(self.table)]
 
@@ -359,7 +355,7 @@ def trace_component(field, a: int) -> BooleanFunction:
     """The component function x -> Tr(a*x) = parity(x & T*a), a linear map
     of x whose image of bit i is bit i of T*a; a must be an m-bit word."""
     field = as_field(field)
-    tc = int(bitmat.linear_map(field.trace_form_rows, [field.element(a).value])[0])
+    tc = int(bitmat.linear_map(field.trace_form_rows, [field.element(a)])[0])
     return BooleanFunction(field, bitmat.span([(tc >> i) & 1 for i in range(field.m)]))
 
 

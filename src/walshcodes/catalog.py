@@ -190,7 +190,7 @@ def bch_generator_polynomial(n: int, delta: int) -> Poly2:
             leaders.append(coset.leader)
     g = Poly2(1)
     for leader in sorted(leaders):
-        g = g * minimal_polynomial(fld, fld.pow(gamma.value, leader))
+        g = g * minimal_polynomial(fld, fld.pow(gamma, leader))
     return g
 
 
@@ -212,7 +212,7 @@ def quadratic_residue_code(n: int) -> BinaryCode:
     if n % 8 not in (1, 7):
         raise ValueError(f"2 must be a square mod n (n = +-1 mod 8), got n={n}")
     fld = _splitting_field(n)
-    gamma = fld.element_of_order(n).value
+    gamma = fld.element_of_order(n)
     residues = sorted({pow(i, 2, n) for i in range(1, n)})
     return _cyclic_code(n, _expand_roots(fld, [fld.pow(gamma, r) for r in residues]))
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bitmat
 from .boolfun import BooleanFunction
-from .gf2 import Field, FieldElement, Basis, as_field, field as get_field, is_hex
+from .gf2 import Field, as_field, field as get_field, is_hex
 from .linear_code import BinaryCode
 
 
@@ -89,9 +89,6 @@ class DefiningSet:
         s = np.sort(self.array)
         return bool((s[1:] == s[:-1]).any())
 
-    def elements(self) -> list[FieldElement]:
-        return [self.field.element(v) for v in self.array.tolist()]
-
     def __eq__(self, other):
         return (isinstance(other, DefiningSet) and self.field == other.field
                 and np.array_equal(self.array, other.array))
@@ -133,16 +130,18 @@ def code_from_defining_set(ds: DefiningSet) -> BinaryCode:
 
 
 def codeword_weight(ds: DefiningSet, x) -> int:
-    """Hamming weight of c_x by direct coordinate counting (oracle path)."""
+    """Hamming weight of c_x by direct coordinate counting (oracle path); x
+    must be an m-bit word."""
     f = ds.field
-    x = int(x)
+    x = f.element(x)
     return sum(f.trace(f.mul(x, v)) for v in ds.array.tolist())
 
 
 def extract_defining_set(code: BinaryCode, field: Field | None = None,
-                         basis: Basis | None = None) -> DefiningSet:
+                         basis=None) -> DefiningSet:
     """Invert the construction: read d_j = sum_i G[i][j] * beta_i off the
-    echelon generator G, beta the dual of the chosen basis of GF(2^k).
+    echelon generator G, beta the dual of the chosen basis of GF(2^k): k
+    words, the polynomial basis by default.
 
     The resulting defining set keeps the code's column order, so rebuilding
     reproduces the code coordinate-for-coordinate.  The extraction and its
@@ -157,25 +156,23 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     if fld.m != code.k:
         raise ValueError(f"extraction field must have degree k={code.k}, got m={fld.m}")
     if basis is None:
-        basis, beta = fld.polynomial_basis(), fld.dual_polynomial_basis
-    elif basis.field != fld:
-        raise ValueError("basis does not belong to the extraction field")
+        basis, beta = fld.polynomial_basis, fld.dual_polynomial_basis
     else:
-        beta = basis.dual()
+        basis = [fld.element(w) for w in basis]
+        beta = fld.dual_basis(basis)
     _, gen = code.rref()
     cols = bitmat.columns(gen, code.n)
-    vals = bitmat.linear_map([b.value for b in beta], cols)
+    vals = bitmat.linear_map(beta, cols)
     # Tr(b_i * v) = parity(b_i & tc(v)), tc the trace coordinates: a linear
     # map of tc(v) whose images are the transposed basis words
     coords = bitmat.linear_map(fld.trace_form_rows, vals)
-    rebuilt = bitmat.linear_map(bitmat.columns([b.value for b in basis], fld.m), coords)
+    rebuilt = bitmat.linear_map(bitmat.columns(basis, fld.m), coords)
     if not np.array_equal(rebuilt, cols):
         raise AssertionError("extraction failed to reproduce the generator row")
     return DefiningSet(fld, vals)
 
 
-def extract_with_function(code: BinaryCode, field: Field | None = None,
-                          basis: Basis | None = None
+def extract_with_function(code: BinaryCode, field: Field | None = None, basis=None
                           ) -> tuple[DefiningSet, BooleanFunction | None]:
     """The defining set of ``extract_defining_set`` and, when the code is
     projective, the Boolean function f whose support it is (None otherwise).
@@ -196,7 +193,7 @@ def extract_with_function(code: BinaryCode, field: Field | None = None,
 
 
 def boolean_from_code(code: BinaryCode, field: Field | None = None,
-                      basis: Basis | None = None) -> BooleanFunction:
+                      basis=None) -> BooleanFunction:
     """The characteristic function of the extracted defining set (the code
     must be projective so that the set has distinct nonzero elements).
 
@@ -302,9 +299,10 @@ def bivariate_view(ds: DefiningSet, h: int):
     """Split GF(2^(2h)) as GF(2^h)^2: map each d to the pair
     (d1, d2) = (T(d), T(d*alpha)), T the relative trace onto GF(2^h), which
     are the coordinates of d over the T-dual pair of {1, alpha}, and rebuild
-    the code from the pairs E = [(d1, d2)].  Returns (E, C_E) with C_E equal
-    to the code of the original defining set.  Each side d -> T(d*c),
-    c in {1, alpha}, is GF(2)-linear in d: one ``bitmat.linear_map`` over D.
+    the code from the pairs E = [(d1, d2)] of GF(2^h) words.  Returns (E, C_E)
+    with C_E equal to the code of the original defining set.  Each side
+    d -> T(d*c), c in {1, alpha}, is GF(2)-linear in d: one
+    ``bitmat.linear_map`` over D.
     """
     big = ds.field
     if big.m != 2 * h:
@@ -312,15 +310,13 @@ def bivariate_view(ds: DefiningSet, h: int):
     emb = big.subfield(h)
     sides = [bitmat.linear_map([emb.down(big.relative_trace_raw(big.mul(c, 1 << i), h))
                                 for i in range(big.m)], ds.array)
-             for c in (1, big.alpha.value)]
-    small = emb.small
-    pairs = [(small.element(d1), small.element(d2))
-             for d1, d2 in zip(*(side.tolist() for side in sides))]
+             for c in (1, big.alpha)]
+    pairs = list(zip(*(side.tolist() for side in sides)))
 
     # generator rows of C_E: x runs over the GF(2)-basis of GF(2^h)^2, so each
     # coordinate contributes the rows of its own code over GF(2^h)
     rows = [r for side in sides
-            for r in code_from_defining_set(DefiningSet(small, side)).rows]
+            for r in code_from_defining_set(DefiningSet(emb.small, side)).rows]
     code = BinaryCode(rows, ds.n)
     if code != code_from_defining_set(ds):
         raise AssertionError("bivariate code disagrees with the direct construction")

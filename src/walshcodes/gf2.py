@@ -1,22 +1,22 @@
 """Arithmetic in binary extension fields GF(2^m).
 
-Field elements are m-bit words: the integer b_{m-1}...b_1 b_0 stands for
-sum b_i * alpha^i, where alpha is the residue class of x modulo the field
-polynomial.  Addition is xor.  Scalar arithmetic happens on plain ints via
-Field methods; FieldElement is a thin wrapper that carries its field and
-supports operators, which is what the public API hands out.  Sets of powers
-of one element are slices of ``Field.exp_table``, the uint32 array of powers
-of the primitive element, built once per field by GF(2)-linear maps.
+Field elements are plain ints, m-bit words: the integer b_{m-1}...b_1 b_0
+stands for sum b_i * alpha^i, where alpha is the residue class of x modulo
+the field polynomial.  Addition is xor; ``Field.mul``, ``pow`` and ``inv``
+do the rest, and ``Field.element`` checks that a value is such a word.  A
+basis is a sequence of m words.  Sets of powers of one element are slices of
+``Field.exp_table``, the uint32 array of powers of the primitive element,
+built once per field by GF(2)-linear maps.
 
 Also provides the trace machinery this library is built on: absolute and
-relative traces, trace-dual bases, and coordinates with respect to a basis.
+relative traces and trace-dual bases.  The coordinates of x over a basis are
+Tr(x * b_j) for the words b_j of its dual.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -34,10 +34,6 @@ DEFAULT_MODULI = {
     14: 0x4021, 15: 0x8003, 16: 0x1002B, 17: 0x20009, 18: 0x40009,
     19: 0x80027, 20: 0x100009,
 }
-
-
-class FieldMismatchError(ValueError):
-    """Raised when an operation mixes elements of different fields."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +138,19 @@ class Field:
     """GF(2^m) with a fixed irreducible modulus.  Immutable."""
 
     def __init__(self, m: int, modulus: int | None = None):
+        # operator.index admits Python and numpy integers and nothing else
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise ValueError(f"extension degree m={m!r} is not an integer") from None
         if not 1 <= m <= MAX_M:
             raise ValueError(f"extension degree m={m} outside supported range 1..{MAX_M}")
         if modulus is None:
             modulus = default_modulus(m)
+        try:
+            modulus = operator.index(modulus)
+        except TypeError:
+            raise ValueError(f"modulus {modulus!r} is not an integer") from None
         if modulus < 0:
             raise ValueError(f"modulus {modulus:#x} is negative")
         if poly_degree(modulus) != m:
@@ -167,19 +172,21 @@ class Field:
 
     # -- element plumbing --------------------------------------------------
 
-    def element(self, value: int) -> "FieldElement":
-        if not 0 <= value < self.order:
-            raise ValueError(f"value {value} is not an {self.m}-bit word")
-        return FieldElement(self, value)
+    def element(self, value) -> int:
+        """value as an int, read through ``operator.index``; a ValueError
+        unless it is an integer in 0..2^m - 1."""
+        try:
+            v = operator.index(value)
+        except TypeError:
+            raise ValueError(f"value {value!r} is not an {self.m}-bit word") from None
+        if not 0 <= v < self.order:
+            raise ValueError(f"value {v} is not an {self.m}-bit word")
+        return v
 
     @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def alpha(self) -> "FieldElement":
+    def alpha(self) -> int:
         # residue class of x; reduces to 0 resp. 1 in the two m=1 fields
-        return FieldElement(self, poly_mod(0b10, self.modulus))
+        return poly_mod(0b10, self.modulus)
 
     # -- core arithmetic on raw words ---------------------------------------
 
@@ -254,7 +261,7 @@ class Field:
         cur = 1
         for _ in range(2 * self.m - 1):
             tr_pows.append(self.trace(cur))
-            cur = self.mul(cur, self.alpha.value)
+            cur = self.mul(cur, self.alpha)
         rows = []
         for i in range(self.m):
             row = 0
@@ -266,13 +273,13 @@ class Field:
     # -- multiplicative structure ---------------------------------------------
 
     @cached_property
-    def primitive_element(self) -> "FieldElement":
+    def primitive_element(self) -> int:
         """Least element (by word value) of multiplicative order 2^m - 1."""
         n = self.order - 1
         primes = _prime_factors(n)
         for v in range(1, self.order):
             if all(self.pow(v, n // p) != 1 for p in primes):
-                return FieldElement(self, v)
+                return v
         raise AssertionError("no primitive element found")  # pragma: no cover
 
     @cached_property
@@ -282,7 +289,7 @@ class Field:
         GF(2)-linear, so the next len powers are the ones held so far under the
         linear map with images c * alpha^i.  Each c is used once, so its span
         tables are built outside ``bitmat.linear_map``'s cache."""
-        g = self.primitive_element.value
+        g = self.primitive_element
         table = np.ones(1, dtype=np.uint32)
         while len(table) < self.order - 1:
             c = self.mul(int(table[-1]), g)
@@ -294,13 +301,13 @@ class Field:
         return table
 
     @lru_cache(maxsize=None)
-    def element_of_order(self, n: int) -> "FieldElement":
+    def element_of_order(self, n: int) -> int:
         """Least element of exact multiplicative order n; n must divide 2^m - 1.
         Those elements are g^((2^m - 1)/n * j) for j < n coprime to n."""
         if n < 1 or (self.order - 1) % n:
             raise ValueError(f"no element of order {n} in GF(2^{self.m})")
         powers = self.exp_table[::(self.order - 1) // n]
-        return FieldElement(self, int(powers[np.gcd(np.arange(n), n) == 1].min()))
+        return int(powers[np.gcd(np.arange(n), n) == 1].min())
 
     # -- subfields ---------------------------------------------------------
 
@@ -310,20 +317,41 @@ class Field:
             raise ValueError(f"h={h} does not divide m={self.m}")
         return SubfieldEmbedding(self, h)
 
-    # -- misc ----------------------------------------------------------------
-
-    def _check(self, e: "FieldElement") -> None:
-        if e.field != self:
-            raise FieldMismatchError(f"element of {e.field!r} used in {self!r}")
-
-    @lru_cache(maxsize=None)
-    def polynomial_basis(self) -> "Basis":
-        """{1, alpha, ..., alpha^(m-1)}; word encodings are exactly 1 << i."""
-        return Basis(tuple(FieldElement(self, 1 << i) for i in range(self.m)))
+    # -- bases -----------------------------------------------------------------
 
     @cached_property
-    def dual_polynomial_basis(self) -> "Basis":
-        return self.polynomial_basis().dual()
+    def polynomial_basis(self) -> tuple[int, ...]:
+        """{1, alpha, ..., alpha^(m-1)}; word encodings are exactly 1 << i."""
+        return tuple(1 << i for i in range(self.m))
+
+    @cached_property
+    def dual_polynomial_basis(self) -> tuple[int, ...]:
+        return self.dual_basis(self.polynomial_basis)
+
+    def dual_basis(self, words) -> tuple[int, ...]:
+        """The words b_j with Tr(a_i * b_j) = delta_ij for the basis a of m
+        m-bit words, via the inverse Gram matrix.  A ValueError unless the
+        words are m linearly independent elements of this field."""
+        m = self.m
+        vals = [self.element(w) for w in words]
+        if len(vals) != m:
+            raise ValueError(f"basis needs {m} elements, got {len(vals)}")
+        if len(bitmat.rref(vals, m)[1]) != m:
+            raise ValueError("basis elements are linearly dependent over GF(2)")
+        # Tr(a_i * a_j) = parity(a_i & T*a_j): gram row i is a_i under the linear
+        # map whose image of bit k collects bit k of every T*a_j
+        tc = bitmat.linear_map(self.trace_form_rows, vals).tolist()
+        gram = bitmat.linear_map(bitmat.columns(tc, m), vals).tolist()
+        # the Gram matrix is symmetric, so its inverse is too: row j of the
+        # inverse holds the coefficients of b_j over the a_k
+        duals = tuple(bitmat.linear_map(vals, bitmat.invert(gram, m)).tolist())
+        for i in range(m):
+            for j in range(m):
+                if self.trace(self.mul(vals[i], duals[j])) != (i == j):
+                    raise AssertionError("dual basis failed trace-orthonormality check")
+        return duals
+
+    # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "modulus": format(self.modulus, "x")}
@@ -360,150 +388,6 @@ def as_field(f) -> Field:
     except TypeError:
         raise ValueError(f"field {f!r} is neither a Field nor an integer degree") from None
     return field(m)
-
-
-class FieldElement:
-    """An element of a specific GF(2^m); immutable."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            self.field._check(other)
-            return other
-        raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.value ^ other.value)
-
-    __sub__ = __add__
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, self.field.inv(other.value)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def trace(self) -> int:
-        return self.field.trace(self.value)
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and other.field == self.field and other.value == self.value)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return self.value < other.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    __index__ = __int__
-
-    def __repr__(self):
-        return f"<{self.value:#x} in GF(2^{self.field.m})>"
-
-    def to_hex(self) -> str:
-        return format(self.value, "x")
-
-
-@dataclass(frozen=True)
-class Basis:
-    """A GF(2)-basis of GF(2^m), validated at construction."""
-
-    elements: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("empty basis")
-        f = self.field
-        for e in self.elements:
-            f._check(e)
-        if len(self.elements) != f.m:
-            raise ValueError(f"basis needs {f.m} elements, got {len(self.elements)}")
-        if len(bitmat.rref([e.value for e in self.elements], f.m)[1]) != f.m:
-            raise ValueError("basis elements are linearly dependent over GF(2)")
-
-    @property
-    def field(self) -> Field:
-        return self.elements[0].field
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def dual(self) -> "Basis":
-        return dual_basis(self)
-
-    def coordinates(self, x: FieldElement) -> list[int]:
-        return coordinates(x, self)
-
-    def combine(self, bits) -> FieldElement:
-        f = self.field
-        v = 0
-        for b, e in zip(bits, self.elements):
-            if b:
-                v ^= e.value
-        return FieldElement(f, v)
-
-
-def dual_basis(basis: Basis) -> Basis:
-    """The basis {b_j} with Tr(a_i * b_j) = delta_ij, via the inverse Gram matrix."""
-    f = basis.field
-    m = f.m
-    vals = [e.value for e in basis.elements]
-    # Tr(a_i * a_j) = parity(a_i & T*a_j): gram row i is a_i under the linear
-    # map whose image of bit k collects bit k of every T*a_j
-    tc = bitmat.linear_map(f.trace_form_rows, vals).tolist()
-    gram = bitmat.linear_map(bitmat.columns(tc, m), vals).tolist()
-    # the Gram matrix is symmetric, so its inverse is too: row j of the
-    # inverse holds the coefficients of b_j over the a_k
-    cinv = bitmat.invert(gram, m)
-    duals = [FieldElement(f, v) for v in bitmat.linear_map(vals, cinv).tolist()]
-    out = Basis(tuple(duals))
-    for i in range(m):
-        for j in range(m):
-            if f.trace(f.mul(vals[i], duals[j].value)) != (i == j):
-                raise AssertionError("dual basis failed trace-orthonormality check")
-    return out
-
-
-def coordinates(x: FieldElement, basis: Basis) -> list[int]:
-    """Coefficients c with x = sum c_i * basis_i, via c_i = Tr(x * dual_i)."""
-    f = basis.field
-    f._check(x)
-    dual = basis.dual()
-    return [f.trace(f.mul(x.value, d.value)) for d in dual.elements]
 
 
 class SubfieldEmbedding:

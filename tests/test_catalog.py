@@ -254,7 +254,7 @@ def test_irreducible_cyclic_defining_set_is_the_power_subgroup():
 def irreducible_cyclic_by_loop(m, big_n):
     """Reference: gamma^(N*i) for i < (2^m - 1)/N, one scalar mul per element."""
     f = field(m)
-    step = f.pow(f.primitive_element.value, big_n)
+    step = f.pow(f.primitive_element, big_n)
     vals, cur = [], 1
     for _ in range((f.order - 1) // big_n):
         vals.append(cur)

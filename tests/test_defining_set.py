@@ -22,7 +22,7 @@ from walshcodes.defining_set import (
     spectral_weight_distribution,
     verify_spectral_distribution,
 )
-from walshcodes.gf2 import Basis, Field, field, is_irreducible
+from walshcodes.gf2 import Field, field, is_irreducible
 from walshcodes.linear_code import BinaryCode
 from walshcodes import bitmat, defining_set
 
@@ -46,7 +46,6 @@ def test_defining_set_preserves_order_and_repeats():
     ds = DefiningSet(f, [5, 1, 5])
     assert ds.values == (5, 1, 5)
     assert ds.n == 3 and ds.is_multiset
-    assert [e.value for e in ds.elements()] == [5, 1, 5]
     assert DefiningSet.from_support(f, {6, 2}).values == (2, 6)
     assert not DefiningSet(f, [0, 1]).is_multiset
 
@@ -289,6 +288,15 @@ def test_codeword_weight_matches_row_combinations_and_spectrum():
                 assert codeword_weight(ds, x) == (2 * fn.weight() + w) // 4
 
 
+def test_codeword_weight_takes_exactly_the_words_of_the_field():
+    ds = DefiningSet(field(3), [1, 2, 3])
+    assert codeword_weight(ds, np.uint8(2)) == codeword_weight(ds, 2)
+    # int() would truncate 2.7 and read "3" as decimal; 9 and -1 are no words
+    for x, shown in ((2.7, "2.7"), ("3", "'3'"), (9, "9"), (-1, "-1")):
+        with pytest.raises(ValueError, match=f"^value {shown} is not an 3-bit word$"):
+            codeword_weight(ds, x)
+
+
 # -- extraction --------------------------------------------------------------------
 
 
@@ -340,10 +348,9 @@ def test_extract_with_custom_basis_matches_code_and_spectrum():
         vals = [rng.randrange(1, 16) for _ in range(4)]
         if len(bitmat.rref(vals, 4)[1]) != 4:
             continue
-        basis = Basis(tuple(f.element(v) for v in vals))
-        ds = extract_defining_set(hamming, basis=basis)
+        ds = extract_defining_set(hamming, basis=vals)
         assert code_from_defining_set(ds) == hamming
-        other_fn = boolean_from_code(hamming, basis=basis)
+        other_fn = boolean_from_code(hamming, basis=vals)
         a = sorted(int(v) for v in default_fn.walsh_transform().values)
         b = sorted(int(v) for v in other_fn.walsh_transform().values)
         assert a == b  # basis choice permutes, never changes, the spectrum
@@ -363,15 +370,20 @@ def test_extract_errors():
     code = BinaryCode.from_rows(["110", "011"])
     with pytest.raises(ValueError):
         extract_defining_set(code, field=field(3))  # degree 3 != k = 2
-    with pytest.raises(ValueError):
-        extract_defining_set(code, basis=field(3).polynomial_basis())
+    # a basis of GF(8) holds a word with more bits than GF(4) has
+    with pytest.raises(ValueError, match="^value 4 is not an 2-bit word$"):
+        extract_defining_set(code, basis=field(3).polynomial_basis)
+    with pytest.raises(ValueError, match="^basis needs 2 elements, got 1$"):
+        extract_defining_set(code, basis=[1])
+    with pytest.raises(ValueError, match="^basis elements are linearly dependent"):
+        extract_defining_set(code, basis=[3, 3])
 
 
 def test_extract_self_check_rejects_a_wrong_dual_basis():
     # a fresh, non-interned field, so the forged cache stays local to the test
     fld = Field(3)
     # the polynomial basis of GF(8) mod x^3 + x + 1 is not self-dual
-    fld.dual_polynomial_basis = fld.polynomial_basis()
+    fld.dual_polynomial_basis = fld.polynomial_basis
     code = code_from_defining_set(DefiningSet.from_support(field(3), range(1, 8)))
     with pytest.raises(AssertionError,
                        match="^extraction failed to reproduce the generator row$"):
@@ -437,9 +449,8 @@ def test_extract_after_build_is_the_identity_on_columns(ds, data):
     fld = field(k, data.draw(st.sampled_from(irreducibles(k))))
     basis = None
     if data.draw(st.booleans()):
-        words = data.draw(st.lists(st.integers(1, fld.order - 1), min_size=k, max_size=k)
+        basis = data.draw(st.lists(st.integers(1, fld.order - 1), min_size=k, max_size=k)
                           .filter(lambda w: len(bitmat.rref(w, k)[1]) == k))
-        basis = Basis(tuple(fld.element(w) for w in words))
     ext = extract_defining_set(code, field=fld, basis=basis)
     assert ext.field == fld and ext.n == ds.n
     assert code_from_defining_set(ext) == code
@@ -458,7 +469,7 @@ def test_boolean_from_code_reports_projectivity_before_extraction_errors():
     with pytest.raises(NotProjectiveError, match="columns 0 and 1 are identical"):
         boolean_from_code(repeated, field=field(3))  # the field's degree does not fit either
     with pytest.raises(NotProjectiveError, match="columns 0 and 1 are identical"):
-        boolean_from_code(repeated, basis=field(3).polynomial_basis())
+        boolean_from_code(repeated, basis=field(3).polynomial_basis)
     with pytest.raises(ValueError, match="^projectivity of the zero code is undefined$"):
         boolean_from_code(BinaryCode([0], 3))
     with pytest.raises(ValueError, match="must have degree k=2, got m=3"):
@@ -587,7 +598,7 @@ def test_spectral_report_detects_hyperplane_supports():
 
 def test_spectral_report_with_four_fold_collapse():
     f = field(4)
-    a = f.alpha.value
+    a = f.alpha
     support = [
         x for x in range(1, 16) if f.trace(x) == 0 and f.trace(f.mul(a, x)) == 0
     ]
@@ -704,7 +715,7 @@ def test_bivariate_view_smallest_case():
     ds = DefiningSet(field(2), [1])
     pairs, code = bivariate_view(ds, 1)
     assert len(pairs) == 1
-    assert all(e.field == field(1) for pair in pairs for e in pair)
+    assert all(type(e) is int and 0 <= e < 2 for pair in pairs for e in pair)
     assert code == code_from_defining_set(ds)
 
 
@@ -717,8 +728,7 @@ def test_bivariate_view_random_sets_and_multisets():
             pairs, code = bivariate_view(ds, h)
             assert len(pairs) == ds.n
             assert code == code_from_defining_set(ds)
-            small = field(h)
-            assert all(e.field == small for pair in pairs for e in pair)
+            assert all(type(e) is int and 0 <= e < 1 << h for pair in pairs for e in pair)
 
 
 def test_bivariate_pairs_encode_the_trace_identity():
@@ -730,7 +740,7 @@ def test_bivariate_pairs_encode_the_trace_identity():
     rng = random.Random(59)
     ds = DefiningSet(f, [rng.randrange(1, 16) for _ in range(6)])
     pairs, _ = bivariate_view(ds, 2)
-    alpha = f.alpha.value
+    alpha = f.alpha
     coords = {}
     for x1 in range(4):
         for x2 in range(4):
@@ -740,8 +750,7 @@ def test_bivariate_pairs_encode_the_trace_identity():
         x1, x2 = coords[x]
         for (d1, d2), d in zip(pairs, ds.values):
             lhs = f.trace(f.mul(d, x))
-            rhs = small.trace(
-                small.mul(d1.value, x1) ^ small.mul(d2.value, x2))
+            rhs = small.trace(small.mul(d1, x1) ^ small.mul(d2, x2))
             assert lhs == rhs
 
 
@@ -762,7 +771,7 @@ def bivariate_rows_by_loop(pairs, h):
         for i in range(h):
             row = 0
             for j, pair in enumerate(pairs):
-                row |= small.trace(small.mul(pair[side].value, 1 << i)) << j
+                row |= small.trace(small.mul(pair[side], 1 << i)) << j
             rows.append(row)
     return rows
 
@@ -785,11 +794,11 @@ def test_bivariate_pairs_equal_the_scalar_relative_trace_loop(data):
     f = field(2 * h, data.draw(st.sampled_from(irreducibles(2 * h))))
     ds = DefiningSet(f, data.draw(st.lists(st.integers(0, f.order - 1),
                                            min_size=1, max_size=60)))
-    emb, alpha = f.subfield(h), f.alpha.value
+    emb, alpha = f.subfield(h), f.alpha
     expected = [(emb.down(f.relative_trace_raw(d, h)),
                  emb.down(f.relative_trace_raw(f.mul(d, alpha), h))) for d in ds.values]
     pairs, _ = bivariate_view(ds, h)
-    assert [(d1.value, d2.value) for d1, d2 in pairs] == expected
+    assert pairs == expected
 
 
 def test_bivariate_view_rejects_odd_degree():

@@ -1,6 +1,8 @@
 """Tests for GF(2^m) arithmetic, traces, bases, and subfield embeddings."""
 
+import functools
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -9,10 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from walshcodes import bitmat, gf2
 from walshcodes.gf2 import (
-    Basis,
-    FieldMismatchError,
-    coordinates,
-    dual_basis,
     field,
     is_irreducible,
     poly_degree,
@@ -109,6 +107,22 @@ def test_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         field(3, -0b1011)  # a negative word is no polynomial
     assert not is_irreducible(-0b1011)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, 11.0), "^modulus 11.0 is not an integer$"),
+    ((3.0,), "^extension degree m=3.0 is not an integer$"),
+    ((3, "b"), "^modulus 'b' is not an integer$"),
+    (("3",), "^extension degree m='3' is not an integer$"),
+])
+def test_field_reads_degree_and_modulus_as_integers(args, message):
+    with pytest.raises(ValueError, match=message):
+        gf2.Field(*args)
+
+
+def test_field_accepts_numpy_integers():
+    assert gf2.Field(np.int64(3), np.uint16(0b1011)) == field(3)
+    assert type(gf2.Field(np.uint8(4)).m) is int
 
 
 def test_gf8_multiplication_fixtures():
@@ -278,28 +292,25 @@ def test_relative_trace_lands_in_the_subfield():
 
 def test_dual_basis_of_gf8_polynomial_basis():
     f = field(3)
-    basis = f.polynomial_basis()
-    dual = dual_basis(basis)
+    basis = f.polynomial_basis
+    assert basis == (1, 2, 4)
+    dual = f.dual_basis(basis)
+    assert dual == f.dual_polynomial_basis
     for i in range(3):
         for j in range(3):
-            assert f.trace(f.mul(basis[i].value, dual[j].value)) == (i == j)
-    redual = dual.dual()
-    assert [e.value for e in redual] == [e.value for e in basis]
+            assert f.trace(f.mul(basis[i], dual[j])) == (i == j)
+    assert f.dual_basis(dual) == basis
 
 
 def test_dual_basis_involution_on_random_bases():
     rng = random.Random(18)
-    from walshcodes import bitmat
-
     for m in (2, 4, 6, 10):
         f = field(m)
         for _ in range(10):
             vals = [rng.randrange(1, f.order) for _ in range(m)]
             if len(bitmat.rref(vals, m)[1]) != m:
                 continue
-            basis = Basis(tuple(f.element(v) for v in vals))
-            dual = basis.dual()
-            assert [e.value for e in dual.dual()] == vals
+            assert f.dual_basis(f.dual_basis(vals)) == tuple(vals)
 
 
 def dual_by_gram_loops(f, vals):
@@ -331,38 +342,57 @@ def test_dual_basis_equals_the_scalar_gram_construction(data):
     f = field(m, data.draw(st.sampled_from([None, largest])))
     vals = data.draw(st.lists(st.integers(1, f.order - 1), min_size=m, max_size=m)
                      .filter(lambda w: len(bitmat.rref(w, m)[1]) == m))
-    basis = Basis(tuple(f.element(v) for v in vals))
-    assert [e.value for e in dual_basis(basis)] == dual_by_gram_loops(f, vals)
+    assert list(f.dual_basis(vals)) == dual_by_gram_loops(f, vals)
 
 
 def test_basis_rejects_dependent_or_foreign_elements():
     f = field(3)
-    with pytest.raises(ValueError):
-        Basis((f.element(1), f.element(2), f.element(3)))  # 3 = 1 ^ 2
-    with pytest.raises(ValueError):
-        Basis((f.element(1), f.element(2)))
-    with pytest.raises(FieldMismatchError):
-        Basis((f.element(1), f.element(2), field(4).element(4)))
+    with pytest.raises(ValueError, match="^basis elements are linearly dependent over GF"):
+        f.dual_basis([1, 2, 3])  # 3 = 1 ^ 2
+    with pytest.raises(ValueError, match="^basis needs 3 elements, got 2$"):
+        f.dual_basis([1, 2])
+    with pytest.raises(ValueError, match="^basis needs 3 elements, got 0$"):
+        f.dual_basis([])
+    # a word of GF(16) with m + 1 bits belongs to no basis of GF(8)
+    with pytest.raises(ValueError, match="^value 8 is not an 3-bit word$"):
+        f.dual_basis([1, 2, 8])
+    with pytest.raises(ValueError, match="^value 2.0 is not an 3-bit word$"):
+        f.dual_basis([1, 2.0, 4])
+
+
+def coordinates(f, x, basis):
+    """Coordinates of x over ``basis``: Tr(x * d_j) for its dual words d_j."""
+    return [f.trace(f.mul(x, d)) for d in f.dual_basis(basis)]
+
+
+def combine(bits, basis):
+    """The xor of the basis words whose coordinate bit is set."""
+    return functools.reduce(operator.xor, (a for b, a in zip(bits, basis) if b), 0)
 
 
 def test_coordinates_round_trip():
     rng = random.Random(19)
     f = field(10)
-    basis = f.polynomial_basis()
+    basis = f.polynomial_basis
     for _ in range(50):
-        x = f.element(rng.randrange(f.order))
-        bits = coordinates(x, basis)
-        assert basis.combine(bits) == x
-        assert bits == [(x.value >> i) & 1 for i in range(10)]
-    assert coordinates(f.zero, basis) == [0] * 10
+        x = rng.randrange(f.order)
+        bits = coordinates(f, x, basis)
+        assert combine(bits, basis) == x
+        assert bits == [(x >> i) & 1 for i in range(10)]
+    assert coordinates(f, 0, basis) == [0] * 10
 
 
-def test_coordinates_in_a_nonstandard_basis():
-    f = field(4)
-    basis = Basis(tuple(f.element(v) for v in (3, 5, 9, 14)))
-    for v in range(16):
-        x = f.element(v)
-        assert basis.combine(basis.coordinates(x)) == x
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_coordinates_in_a_nonstandard_basis(data):
+    """x is the xor of Tr(x * d_j) * a_j over any basis a with dual d."""
+    m = data.draw(st.integers(1, 12))
+    f = field(m, data.draw(st.sampled_from([None, max(
+        p for p in range(1 << m, 2 << m) if is_irreducible(p))])))
+    basis = data.draw(st.lists(st.integers(1, f.order - 1), min_size=m, max_size=m)
+                      .filter(lambda w: len(bitmat.rref(w, m)[1]) == m))
+    for x in data.draw(st.lists(st.integers(0, f.order - 1), min_size=1, max_size=8)):
+        assert combine(coordinates(f, x, basis), basis) == x
 
 
 # -- multiplicative structure --------------------------------------------------
@@ -399,17 +429,17 @@ def test_element_order_matches_naive_loop():
 def test_primitive_element_is_least_generator():
     for m in (1, 2, 3, 4, 6, 8):
         f = field(m)
-        g = f.primitive_element.value
+        g = f.primitive_element
         assert element_order(f, g) == f.order - 1
         for v in range(1, g):
             assert element_order(f, v) != f.order - 1
-    assert field(3).primitive_element.value == 2
+    assert field(3).primitive_element == 2
 
 
 def test_exp_table_lists_the_powers_of_the_primitive_element():
     for m in range(1, 13):
         f = field(m)
-        exp, g = f.exp_table, f.primitive_element.value
+        exp, g = f.exp_table, f.primitive_element
         assert exp.dtype == np.uint32 and not exp.flags.writeable
         assert sorted(exp.tolist()) == list(range(1, f.order))
         assert exp[0] == 1
@@ -441,8 +471,8 @@ def test_element_of_order_is_least_with_that_order():
                 with pytest.raises(ValueError):
                     f.element_of_order(n)
                 continue
-            assert f.element_of_order(n).value == least[n]
-    assert field(4).element_of_order(1).value == 1
+            assert f.element_of_order(n) == least[n]
+    assert field(4).element_of_order(1) == 1
 
 
 # -- subfield embeddings --------------------------------------------------------
@@ -482,23 +512,19 @@ def test_subfield_tower_intersection():
     assert quad & cube == {0, 1}
 
 
-# -- element wrapper and serialization ------------------------------------------
+# -- elements and serialization ------------------------------------------
 
 
-def test_field_element_operator_algebra():
+def test_element_is_the_checked_int():
     f = field(4)
-    a, b = f.element(7), f.element(9)
-    assert (a + b).value == 7 ^ 9
-    assert a * b == f.element(f.mul(7, 9))
-    assert a / b == a * b.inverse()
-    assert (a**3).value == f.pow(7, 3)
-    assert a + a == f.zero
-    assert int(a) == 7 and bool(a) and not bool(f.zero)
-    assert a.trace() == f.trace(7)
-    assert sorted([b, a]) == [a, b]
-    assert a.to_hex() == "7"
-    with pytest.raises(FieldMismatchError):
-        a + field(3).element(1)
+    assert f.element(9) == 9 and type(f.element(np.uint8(9))) is int
+    for bad in (-1, 16, 1 << 40):
+        with pytest.raises(ValueError, match=f"^value {bad} is not an 4-bit word$"):
+            f.element(bad)
+    for bad, shown in ((2.0, "2.0"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^value {shown} is not an 4-bit word$"):
+            f.element(bad)
+    assert f.alpha == 2 and field(1).alpha == 0
 
 
 def test_field_json_round_trip():
