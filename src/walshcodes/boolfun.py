@@ -5,12 +5,17 @@ The Walsh coefficient used throughout pairs points through the field trace,
     W_f(w) = sum over x of (-1)^(f(x) + Tr(w*x)),
 
 which matches the coordinate-free convention the code constructions need.
-Since Tr(w*x) equals the dot product w.(T*x) for the trace bilinear form T,
-which is symmetric and invertible, substituting y = T*x gives
-W_f(w) = sum over y of (-1)^(f(T^-1 y) + w.y): the spectrum is the plain
-Walsh--Hadamard transform over GF(2)^m of the truth table read in the order
-y -> T^-1 y, the inverse of ``bitmat.span(field.trace_form_rows)``, built
-once per field.  The transform uses the Kronecker factorisation
+Since Tr(w*x) equals the dot product (T*w).x for the trace bilinear form T,
+W_f(w) = V(T*w), where V is the plain Walsh--Hadamard transform over GF(2)^m
+of the truth table in its natural index order.  T is linear, invertible and
+fixes 0, so w -> T*w only permutes the nonzero coefficients: every fact read
+off a spectrum here (its histogram, max |W| and nonlinearity, the
+classification, Parseval, parity, the bounds, W(0) and the code's weight
+multiset) is the same for V as for W.  ``walsh_transform`` therefore
+transforms the table as it is and counts the 2^m coefficients once; the
+trace-ordered array ``WalshSpectrum.values`` is one gather through
+``bitmat.span(field.trace_form_rows)``, made only when it is read.  The
+transform uses the Kronecker factorisation
 H_{2^m} = H_{2^w_1} (x) ... (x) H_{2^w_r} into r = ceil(m/5) near-equal
 digits of at most 5 bits, one BLAS product per digit, for
 2^m * sum(2^w_i) * 2 flops: 5 + 5 + 4 bits and 2.6 MFLOP at m = 14, a third
@@ -82,12 +87,11 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _walsh_input_order(field: Field) -> np.ndarray:
-    """The index array y -> T^-1 y, the inverse of the permutation
-    ``bitmat.span(field.trace_form_rows)``, as intp (a narrower index is
-    converted on every gather).  Built on a field's first transform."""
-    order = np.empty(field.order, dtype=np.intp)
-    order[bitmat.span(field.trace_form_rows)] = np.arange(field.order)
+def _trace_order(field: Field) -> np.ndarray:
+    """The uint32 table w -> T*w, ``bitmat.span(field.trace_form_rows)``:
+    W_f(w) is the natural-order coefficient at T*w.  Built the first time a
+    spectrum of the field is read in trace order."""
+    order = bitmat.span(field.trace_form_rows)
     order.setflags(write=False)
     return order
 
@@ -193,15 +197,16 @@ class BooleanFunction:
     # -- Walsh spectrum ---------------------------------------------------------
 
     def walsh_transform(self) -> "WalshSpectrum":
-        """Fast transform: the truth table read in the order y -> T^-1 y, its
-        signs (-1)^f in float32, then the Kronecker-factored Walsh--Hadamard
-        transform as one BLAS product per digit of at most 5 bits (three at
-        m = 14, 2^m * sum(2^w_i) * 2 = 2.6 MFLOP).  Exact because every
-        partial sum is an integer of magnitude at most 2^m <= 2^20 < 2^24."""
+        """Fast transform: the signs (-1)^f in float32, in the table's own
+        index order, then the Kronecker-factored Walsh--Hadamard transform as
+        one BLAS product per digit of at most 5 bits (three at m = 14,
+        2^m * sum(2^w_i) * 2 = 2.6 MFLOP).  Exact because every partial sum
+        is an integer of magnitude at most 2^m <= 2^20 < 2^24.  The spectrum
+        counts the coefficients at once and reads them in trace order only
+        when ``values`` or ``spec[w]`` is asked for."""
         if self._spectrum is None:
-            reindexed = self.table[_walsh_input_order(self.field)].view(np.int8)
-            signs = (1 - 2 * reindexed).astype(np.float32)
-            self._spectrum = WalshSpectrum(self, _fwht(signs))
+            signs = (1 - 2 * self.table.view(np.int8)).astype(np.float32)
+            self._spectrum = WalshSpectrum._from_natural_order(self, _fwht(signs))
         return self._spectrum
 
     # -- algebraic normal form ---------------------------------------------------
@@ -251,62 +256,103 @@ class BooleanFunction:
 
     def classify(self) -> tuple[str, dict[int, int]]:
         """Most specific of affine / bent / plateaued / balanced / general,
-        together with the spectrum histogram."""
+        together with the spectrum histogram; read off the distinct
+        coefficients, and W(0) = 2^m - 2 * weight is 0 exactly when f is
+        balanced."""
         spec = self.walsh_transform()
         hist = spec.histogram()
-        absvals = sorted({abs(v) for v in hist})
-        nonzero_abs = [v for v in absvals if v]
-        q = self.field.order
-        if nonzero_abs == [q]:
+        nonzero = spec.distinct[spec.distinct != 0]
+        least_nonzero = int(np.abs(nonzero).min())
+        top = spec.max_abs()
+        if least_nonzero == top == self.field.order:
             return "affine", hist
-        if self.m % 2 == 0 and absvals == [1 << (self.m // 2)]:
+        if (self.m % 2 == 0 and nonzero.size == spec.distinct.size
+                and top == least_nonzero == 1 << (self.m // 2)):
             return "bent", hist
-        if len(nonzero_abs) == 1:
+        if least_nonzero == top:
             return "plateaued", hist
-        if spec.values[0] == 0:
+        if 2 * self.weight() == self.field.order:
             return "balanced", hist
         return "general", hist
 
 
 class WalshSpectrum:
-    """All 2^m Walsh coefficients of a Boolean function, with sanity checks; no
-    reference back to the function that caches it, so refcounting frees both."""
+    """The Walsh coefficients of a Boolean function, with sanity checks; no
+    reference back to the function that caches it, so refcounting frees both.
+
+    ``distinct`` holds the distinct coefficients in ascending order and
+    ``counts`` how often each occurs (read-only int64 arrays), found by one
+    count over all 2^m coefficients when the spectrum is made.  ``values``
+    holds all 2^m coefficients in trace order (read-only int64), and
+    ``spec[w]`` reads W(w) from it.  ``WalshSpectrum(fn, values)`` takes
+    ``values`` in trace order; ``walsh_transform`` hands over its transform
+    in natural order, and ``values`` is then built on first read."""
 
     def __init__(self, function: BooleanFunction, values: np.ndarray):
         self.field = function.field
         values = np.asarray(values, dtype=np.int64)
-        q = self.field.order
-        if values.shape != (q,):
-            raise ValueError("spectrum must have one coefficient per field element")
-        # bounds first: with every |W| <= 2^m <= 2^20 the int64 dot below is
-        # at most 2^(3m) and cannot wrap round to q^2
-        if values.min() < -q or values.max() > q:
-            raise ValueError(f"spectrum coefficient outside [-2^{self.field.m}, 2^{self.field.m}]")
-        if int(values @ values) != q * q:
-            raise ValueError("spectrum violates the Parseval identity")
-        if np.bitwise_or.reduce(values) & 1:
-            raise ValueError("spectrum parity is inconsistent with a sign sum")
-        if int(values[0]) != q - 2 * function.weight():
-            raise ValueError("spectrum at 0 disagrees with the support size")
+        self._count(values, function)
         self.values = values
         self.values.setflags(write=False)
+
+    @classmethod
+    def _from_natural_order(cls, function: BooleanFunction,
+                            natural: np.ndarray) -> "WalshSpectrum":
+        """The spectrum whose coefficient at w is natural[T*w]."""
+        spec = cls.__new__(cls)
+        spec.field = function.field
+        spec._count(natural, function)
+        spec._natural = natural
+        return spec
+
+    def _count(self, coefficients: np.ndarray, function: BooleanFunction) -> None:
+        """Check 2^m coefficients in any order and keep their histogram.
+
+        The bounds come first, in the input dtype (a NaN fails them).  Every
+        coefficient is then an integer in [-2^m, 2^m] in a float32 or int64
+        array, so W + 2^m is exact as intp; the parity check reads it, and
+        once it is even, (W + 2^m)/2 is a bin index in 0..2^m for one
+        ``np.bincount`` (intp bins: numpy converts any other index type
+        first).  The Parseval dot runs over the distinct values: it is at
+        most 2^m * (2^m)^2 <= 2^60, so it cannot wrap round to q^2.
+        """
+        q = self.field.order
+        if coefficients.shape != (q,):
+            raise ValueError("spectrum must have one coefficient per field element")
+        if not (coefficients.min() >= -q and coefficients.max() <= q):
+            raise ValueError(f"spectrum coefficient outside [-2^{self.field.m}, 2^{self.field.m}]")
+        bins = coefficients.astype(np.intp)
+        bins += q
+        if np.bitwise_or.reduce(bins) & 1:
+            raise ValueError("spectrum parity is inconsistent with a sign sum")
+        bins >>= 1
+        counts = np.bincount(bins)
+        present = (counts != 0).nonzero()[0]
+        distinct = 2 * present - q
+        counts = counts[present]
+        if int(counts @ (distinct * distinct)) != q * q:
+            raise ValueError("spectrum violates the Parseval identity")
+        if int(coefficients[0]) != q - 2 * function.weight():
+            raise ValueError("spectrum at 0 disagrees with the support size")
+        distinct.setflags(write=False)
+        counts.setflags(write=False)
+        self.distinct, self.counts = distinct, counts
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = self._natural[_trace_order(self.field)].astype(np.int64)
+        values.setflags(write=False)
+        return values
 
     def __getitem__(self, w: int) -> int:
         return int(self.values[w])
 
     def histogram(self) -> dict[int, int]:
-        """{coefficient: count} in ascending order, by counting: the
-        constructor has proved every coefficient even and in [-2^m, 2^m], so
-        (W + 2^m) / 2 is an exact bin index in 0..2^m."""
-        q = self.field.order
-        bins = self.values + q
-        bins >>= 1
-        counts = np.bincount(bins)
-        nonzero = counts > 0
-        return dict(zip((2 * np.flatnonzero(nonzero) - q).tolist(), counts[nonzero].tolist()))
+        """{coefficient: count} in ascending order."""
+        return dict(zip(self.distinct.tolist(), self.counts.tolist()))
 
     def max_abs(self) -> int:
-        return int(np.abs(self.values).max())
+        return max(-int(self.distinct[0]), int(self.distinct[-1]))
 
     def nonlinearity(self) -> int:
         return (self.field.order - self.max_abs()) // 2

@@ -241,12 +241,15 @@ _SIGN_AND_LOW_BITS = np.int64(-(1 << 63) | 3)
 def spectral_weight_distribution(f: BooleanFunction) -> SpectralWeightReport:
     """Weight distribution of the code of f's support, from one Walsh transform.
 
-    The cost is one FWHT plus one O(2^m) array pass: t = 2*n_f + W_f(w) for
-    every w != 0, then a histogram of t/4 with the x = 0 codeword added to
-    weight 0.  The pass keeps these consistency checks, each raising
-    ValueError:
+    The weight of c_w is t/4 with t = 2*n_f + W_f(w), so each distinct
+    coefficient gives one weight, and its count (less the one at w = 0, where
+    W_f(0) = 2^m - 2*n_f) is that weight's raw multiplicity; the x = 0
+    codeword adds one to weight 0.  The cost is the transform and its one
+    count; everything after runs on the distinct coefficients (a few to a few
+    hundred), with these consistency checks, each raising ValueError:
 
-    - every t is a nonnegative multiple of 4 (the first offending w is named);
+    - every t is a nonnegative multiple of 4 (the first offending w, in trace
+      order, is named);
     - the zero-weight multiplicity e is a power of two;
     - every raw multiplicity is divisible by e;
     - the frequencies sum to 2^dimension, which also rejects a spectrum whose
@@ -259,28 +262,33 @@ def spectral_weight_distribution(f: BooleanFunction) -> SpectralWeightReport:
         raise ValueError("the zero function has an empty support and no code")
     spec = f.walsh_transform()
     m = f.m
-    t = spec.values[1:] + 2 * n_f
+    counts = spec.counts.copy()
+    counts[spec.distinct.searchsorted(f.field.order - 2 * n_f)] -= 1  # w = 0
+    present = counts != 0
+    t = spec.distinct[present] + 2 * n_f
     # some t is negative or not a multiple of 4 iff the or of all of them has
     # the sign bit or one of the two low bits set
     if np.bitwise_or.reduce(t) & _SIGN_AND_LOW_BITS:
+        t = spec.values[1:] + 2 * n_f
         w = int(np.flatnonzero(t & _SIGN_AND_LOW_BITS)[0]) + 1
         raise ValueError(
             f"spectral weight (2*{n_f} + {spec[w]})/4 at w={w} is not a "
             f"nonnegative integer; the weight identity has been violated")
-    t >>= 2
-    multiset = np.bincount(t)
-    multiset[0] += 1  # the x = 0 codeword
-    e = int(multiset[0])
+    # distinct coefficients give distinct weights t/4 >= 0, ascending after
+    # weight 0, which the x = 0 codeword always has
+    weights = {0: 0}
+    weights.update(zip((t >> 2).tolist(), counts[present].tolist()))
+    weights[0] += 1
+    e = weights[0]
     if e & (e - 1):
         raise ValueError(f"zero-weight multiplicity e={e} is not a power of two")
-    present = np.flatnonzero(multiset)
-    freqs, rems = np.divmod(multiset[present], e)
-    if rems.any():
-        w = int(present[np.argmax(rems != 0)])
-        raise ValueError(
-            f"multiplicity {int(multiset[w])} of weight {w} is not divisible by e={e}; "
-            f"frequencies would not be integral")
-    weights = dict(zip(present.tolist(), freqs.tolist()))
+    if e > 1:
+        for w, c in weights.items():
+            if c % e:
+                raise ValueError(
+                    f"multiplicity {c} of weight {w} is not divisible by e={e}; "
+                    f"frequencies would not be integral")
+        weights = {w: c // e for w, c in weights.items()}
     dimension = m - e.bit_length() + 1
     if sum(weights.values()) != 1 << dimension:
         raise ValueError("spectral frequencies do not sum to 2^dimension")

@@ -240,10 +240,20 @@ class Field:
     def trace(self, a: int) -> int:
         return (a & self._trace_mask).bit_count() & 1
 
-    def relative_trace_raw(self, a: int, h: int) -> int:
-        """Tr from GF(2^m) onto its subfield GF(2^h), as a word of this field."""
+    def _subfield_degree(self, h) -> int:
+        """h as an int, read through ``operator.index``; a ValueError unless
+        it is a positive divisor of m."""
+        try:
+            h = operator.index(h)
+        except TypeError:
+            raise ValueError(f"subfield degree h={h!r} is not an integer") from None
         if h <= 0 or self.m % h:
             raise ValueError(f"h={h} does not divide m={self.m}")
+        return h
+
+    def relative_trace_raw(self, a: int, h: int) -> int:
+        """Tr from GF(2^m) onto its subfield GF(2^h), as a word of this field."""
+        a, h = self.element(a), self._subfield_degree(h)
         acc = 0
         cur = a
         for _ in range(self.m // h):
@@ -300,22 +310,38 @@ class Field:
         table.setflags(write=False)
         return table
 
-    @lru_cache(maxsize=None)
+    # per-instance caches of element_of_order and subfield, made on first
+    # use: a cache on the class would keep every field it saw alive
+
+    @cached_property
+    def _elements_of_order(self) -> dict[int, int]:
+        return {}
+
+    @cached_property
+    def _subfields(self) -> dict[int, "SubfieldEmbedding"]:
+        return {}
+
     def element_of_order(self, n: int) -> int:
         """Least element of exact multiplicative order n; n must divide 2^m - 1.
         Those elements are g^((2^m - 1)/n * j) for j < n coprime to n."""
-        if n < 1 or (self.order - 1) % n:
-            raise ValueError(f"no element of order {n} in GF(2^{self.m})")
-        powers = self.exp_table[::(self.order - 1) // n]
-        return int(powers[np.gcd(np.arange(n), n) == 1].min())
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"order n={n!r} is not an integer") from None
+        if n not in self._elements_of_order:
+            if n < 1 or (self.order - 1) % n:
+                raise ValueError(f"no element of order {n} in GF(2^{self.m})")
+            powers = self.exp_table[::(self.order - 1) // n]
+            self._elements_of_order[n] = int(powers[np.gcd(np.arange(n), n) == 1].min())
+        return self._elements_of_order[n]
 
     # -- subfields ---------------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def subfield(self, h: int) -> "SubfieldEmbedding":
-        if h <= 0 or self.m % h:
-            raise ValueError(f"h={h} does not divide m={self.m}")
-        return SubfieldEmbedding(self, h)
+        h = self._subfield_degree(h)
+        if h not in self._subfields:
+            self._subfields[h] = SubfieldEmbedding(self, h)
+        return self._subfields[h]
 
     # -- bases -----------------------------------------------------------------
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walshcodes import bitmat
+from walshcodes import bitmat, boolfun
 from walshcodes.boolfun import (
     Anf,
     BooleanFunction,
@@ -339,8 +339,9 @@ def test_fast_transform_matches_character_matrix_oracle_up_to_m12():
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
 def test_fast_transform_equals_the_output_reindex_route(m, largest_modulus, seed):
-    # the fast route reads the table at y -> T^-1 y before a float32 transform;
-    # the reference transforms in int64 first and reads the result at w -> T*w
+    # the fast route transforms in float32 by Kronecker digits and gathers at
+    # w -> T*w when values is read; the reference runs the int64 butterfly;
+    # the character-matrix tests pin the trace convention at m <= 12
     modulus = moduli(m)[1] if largest_modulus and m <= 14 else None
     f = field(m, modulus)
     rng = np.random.default_rng(seed)
@@ -523,6 +524,92 @@ def test_histogram_equals_the_sorting_reference(m):
         want = histogram_by_unique(spec.values)
         assert list(got.items()) == list(want.items())  # ascending keys as well
         assert all(type(v) is int and type(c) is int for v, c in got.items())
+
+
+def classify_by_values(values, m):
+    """Reference: the classification read off all 2^m coefficients in trace
+    order, with its histogram by sorting."""
+    absvals = sorted({abs(int(v)) for v in np.unique(values)})
+    nonzero_abs = [v for v in absvals if v]
+    if nonzero_abs == [1 << m]:
+        label = "affine"
+    elif m % 2 == 0 and absvals == [1 << (m // 2)]:
+        label = "bent"
+    elif len(nonzero_abs) == 1:
+        label = "plateaued"
+    elif values[0] == 0:
+        label = "balanced"
+    else:
+        label = "general"
+    return label, histogram_by_unique(values)
+
+
+SPECTRUM_KINDS = ("trace", "bent", "simplex", "irrcyclic", "random", "zero", "one")
+
+
+def spectrum_input(m, kind, rng):
+    """A Boolean function of the named kind on GF(2^m); bent functions need
+    even m and are taken on GF(2^(m+1)) for odd m."""
+    f = field(m)
+    if kind == "trace":
+        return trace_component(f, int(rng.integers(f.order)))
+    if kind == "bent":
+        return bent_function(field(m + m % 2))
+    if kind == "irrcyclic":
+        # the subgroup of order (2^m - 1)/n, n a divisor of 2^m - 1 below 100
+        divisors = [n for n in range(1, 100) if (f.order - 1) % n == 0]
+        n = divisors[int(rng.integers(len(divisors)))]
+        return BooleanFunction.from_support(f, f.exp_table[::n][:(f.order - 1) // n])
+    table = {"simplex": lambda: np.arange(f.order) != 0,
+             "random": lambda: rng.random(f.order) < rng.random(),
+             "zero": lambda: np.zeros(f.order, dtype=bool),
+             "one": lambda: np.ones(f.order, dtype=bool)}[kind]()
+    return BooleanFunction(f, table.astype(np.uint8))
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_counted_spectrum_equals_the_trace_ordered_reference(m, seed):
+    # the spectrum is counted off the natural-order transform; the reference
+    # is counted off the int64 butterfly read at w -> T*w, and sorted
+    rng = np.random.default_rng(seed)
+    for kind in SPECTRUM_KINDS:
+        fn = spectrum_input(m, kind, rng)
+        q = fn.field.order
+        fast = fn.walsh_transform()
+        ref = WalshSpectrum(fn, walsh_by_output_reindex(fn))
+        want = histogram_by_unique(ref.values)
+        assert list(fast.histogram().items()) == list(want.items())  # ascending keys too
+        assert list(ref.histogram().items()) == list(want.items())
+        top = int(np.abs(ref.values).max())
+        assert fast.max_abs() == ref.max_abs() == top
+        assert fast.nonlinearity() == ref.nonlinearity() == (q - top) // 2
+        assert fn.classify() == classify_by_values(ref.values, fn.m)
+        assert fast[0] == ref[0] == q - 2 * fn.weight()
+        assert fast.values.dtype == np.int64 and not fast.values.flags.writeable
+        assert np.array_equal(fast.values, ref.values)
+
+
+def test_spectrum_counts_without_the_trace_ordered_array(monkeypatch):
+    def forbidden(field):
+        raise AssertionError("the trace-ordered array was built")
+
+    monkeypatch.setattr(boolfun, "_trace_order", forbidden)
+    fn = trace_component(field(6), 5)
+    spec = fn.walsh_transform()
+    assert spec.histogram() == {0: 63, 64: 1}
+    assert (spec.max_abs(), spec.nonlinearity(), fn.classify()[0]) == (64, 0, "affine")
+    with pytest.raises(AssertionError, match="trace-ordered"):
+        spec.values
+
+
+def test_spectrum_rejects_nan_and_odd_coefficients():
+    fn = BooleanFunction(field(2), [0, 0, 0, 1])
+    with pytest.raises(ValueError, match=r"outside \[-2\^2, 2\^2\]"):
+        WalshSpectrum._from_natural_order(fn, np.array([2, np.nan, 2, -2], dtype=np.float32))
+    with pytest.raises(ValueError, match="parity"):
+        WalshSpectrum(fn, [2, 3, 1, -2])
 
 
 # -- algebraic normal form ---------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from walshcodes import catalog
+from walshcodes import boolfun, catalog
 from walshcodes.boolfun import BooleanFunction
 from walshcodes.cli import _build_parser, analyze_report, main
 from walshcodes.linear_code import BinaryCode
@@ -410,6 +410,20 @@ def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch)
         assert ok and report["parameters"]["k"] == k and report["projective"] is projective
         assert (report["boolean_function"] is None) == (k > 20)
         assert calls == [k] * checks
+
+
+def test_analyze_report_never_builds_the_trace_ordered_spectrum(monkeypatch):
+    # the histogram, classification, nonlinearity and spectral weights are
+    # all read off the one count of the natural-order transform
+    def forbidden(field):
+        raise AssertionError("the trace-ordered spectrum was built")
+
+    monkeypatch.setattr(boolfun, "_trace_order", forbidden)
+    spec = "irrcyclic:m=14,n=3"
+    report, ok = analyze_report(catalog.build_from_name(spec), spec, 14)
+    assert ok and report["projective"] is True and report["boolean_function"]["m"] == 14
+    assert report["weight_distribution"]["verdict"] == "EQUAL"
+    assert sum(int(v) for v in report["boolean_function"]["walsh_histogram"].values()) == 1 << 14
 
 
 # -- flags -----------------------------------------------------------------------------

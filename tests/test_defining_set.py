@@ -677,10 +677,13 @@ def test_spectral_report_equals_gray_code_enumeration(case, data):
 
 
 class ForgedSpectrum:
-    """Stands in for WalshSpectrum without its Parseval and parity checks."""
+    """Stands in for WalshSpectrum without its Parseval and parity checks:
+    the forged coefficients in trace order and, as the report reads them,
+    their distinct values ascending with their counts."""
 
     def __init__(self, values):
         self.values = np.array(values, dtype=np.int64)
+        self.distinct, self.counts = np.unique(self.values, return_counts=True)
 
     def __getitem__(self, w):
         return int(self.values[w])

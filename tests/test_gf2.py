@@ -1,9 +1,12 @@
 """Tests for GF(2^m) arithmetic, traces, bases, and subfield embeddings."""
 
 import functools
+import gc
 import itertools
 import operator
 import random
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -473,6 +476,43 @@ def test_element_of_order_is_least_with_that_order():
                 continue
             assert f.element_of_order(n) == least[n]
     assert field(4).element_of_order(1) == 1
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda f: f.element_of_order(3.0), "order n=3.0 is not an integer"),
+    (lambda f: f.element_of_order("3"), "order n='3' is not an integer"),
+    (lambda f: f.relative_trace_raw(3, 2.0), "subfield degree h=2.0 is not an integer"),
+    (lambda f: f.relative_trace_raw(3.0, 2), "value 3.0 is not an 4-bit word"),
+    (lambda f: f.relative_trace_raw(16, 2), "value 16 is not an 4-bit word"),
+    (lambda f: f.subfield(2.0), "subfield degree h=2.0 is not an integer"),
+], ids=["order-float", "order-str", "trace-h-float", "trace-a-float", "trace-a-range",
+        "subfield-float"])
+def test_integer_arguments_are_read_through_operator_index(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(field(4))
+
+
+def test_numpy_integer_arguments_are_accepted():
+    f = field(4)
+    assert f.element_of_order(np.int64(3)) == f.element_of_order(3)
+    assert f.element_of_order(np.uint8(5)) == f.element_of_order(5)
+    assert f.relative_trace_raw(np.uint32(3), np.int32(2)) == f.relative_trace_raw(3, 2)
+    assert f.subfield(np.int64(2)) is f.subfield(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.element_of_order(31),
+    lambda f: f.subfield(5),
+], ids=["element_of_order", "subfield"])
+def test_cached_methods_do_not_keep_their_field_alive(call):
+    # a cache on the class would hold every field it was called on
+    f = gf2.Field(5, max(p for p in range(32, 64) if is_irreducible(p)))
+    first = call(f)
+    assert call(f) == first
+    ref = weakref.ref(f)
+    del f, first
+    gc.collect()
+    assert ref() is None
 
 
 # -- subfield embeddings --------------------------------------------------------
