@@ -13,7 +13,8 @@ only along a contiguous axis: a narrow matrix is unpacked to one byte per bit
 and packed again across its rows, and a matrix of 128 or more columns is
 spread through a 2048-entry table, one gather per input byte, then or-reduced
 over each run of 8 rows.  ``word_weights`` counts the set bits of words held
-as bytes, in uint8 arithmetic.  ``as_ints`` and ``integers`` read the integer
+as bytes: one ``np.bitwise_count`` pass where numpy has it (2.0 and later),
+else a uint8 SWAR reduction.  ``as_ints`` and ``integers`` read the integer
 inputs of the package's constructors (rows, field elements, support points)
 without truncating floats or parsing strings.
 
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 
-# uint8 scalars keep every step of word_weights in uint8 under the scalar
+# uint8 scalars keep every step of _swar_byte_counts in uint8 under the scalar
 # promotion rules of numpy 1.x and 2.x alike
 _U1, _U2, _U4 = np.uint8(1), np.uint8(2), np.uint8(4)
 _M1, _M2, _M4 = np.uint8(0x55), np.uint8(0x33), np.uint8(0x0F)
@@ -145,12 +146,9 @@ def row_bytes(rows: list[int], n: int) -> np.ndarray:
                          dtype=np.uint8).reshape(len(rows), nbytes)
 
 
-def word_weights(word_bytes: np.ndarray) -> np.ndarray:
-    """Hamming weight of every word of a uint8 array whose axis 0 runs over
-    the bytes of a word.  Each byte's bit count is a three-step SWAR
-    reduction done in place in uint8, so no temporary is wider than the
-    input; the byte counts are summed in the narrowest type that holds 8
-    times the number of bytes."""
+def _swar_byte_counts(word_bytes: np.ndarray) -> np.ndarray:
+    """The bit count of every byte of a uint8 array: a three-step SWAR
+    reduction done in place in uint8, so no temporary is wider than the input."""
     b = word_bytes >> _U1
     b &= _M1
     np.subtract(word_bytes, b, out=b)  # bit pairs hold their counts
@@ -161,9 +159,22 @@ def word_weights(word_bytes: np.ndarray) -> np.ndarray:
     np.right_shift(b, _U4, out=t)
     b += t
     b &= _M4  # bytes hold their counts
-    nbytes = len(b)
-    return b.sum(axis=0, dtype=np.uint8 if nbytes < 32 else
-                 np.uint16 if nbytes < 8192 else np.uint32)
+    return b
+
+
+# chosen once: one pass over the bytes where numpy has it (2.0 and later)
+_byte_counts = getattr(np, "bitwise_count", _swar_byte_counts)
+
+
+def word_weights(word_bytes: np.ndarray) -> np.ndarray:
+    """Hamming weight of every word of a uint8 array whose axis 0 runs over
+    the bytes of a word.  Each byte's bit count is one ``np.bitwise_count``
+    pass where numpy provides it, else ``_swar_byte_counts``; both stay in
+    uint8.  The byte counts are summed in the narrowest type that holds 8
+    times the number of bytes."""
+    nbytes = len(word_bytes)
+    return _byte_counts(word_bytes).sum(axis=0, dtype=np.uint8 if nbytes < 32 else
+                                        np.uint16 if nbytes < 8192 else np.uint32)
 
 
 def packed_columns(rows: list[int], n: int) -> np.ndarray:

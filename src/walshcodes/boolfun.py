@@ -284,13 +284,13 @@ class WalshSpectrum:
     ``counts`` how often each occurs (read-only int64 arrays), found by one
     count over all 2^m coefficients when the spectrum is made.  ``values``
     holds all 2^m coefficients in trace order (read-only int64), and
-    ``spec[w]`` reads W(w) from it.  ``WalshSpectrum(fn, values)`` takes
-    ``values`` in trace order; ``walsh_transform`` hands over its transform
-    in natural order, and ``values`` is then built on first read."""
+    ``spec[w]`` reads W(w) from it.  ``WalshSpectrum(fn, values)`` takes a
+    copy of ``values`` in trace order; ``walsh_transform`` hands over its
+    transform in natural order, and ``values`` is then built on first read."""
 
     def __init__(self, function: BooleanFunction, values: np.ndarray):
         self.field = function.field
-        values = np.asarray(values, dtype=np.int64)
+        values = np.array(values, dtype=np.int64)  # the caller's array stays writable
         self._count(values, function)
         self.values = values
         self.values.setflags(write=False)

@@ -75,31 +75,25 @@ def cyclotomic_cosets(n: int) -> tuple[CyclotomicCoset, ...]:
     return tuple(out)
 
 
-def _expand_roots(field: Field, roots) -> Poly2:
-    """prod (x + r) over the field, which must have binary coefficients."""
-    coeffs = [1]
-    for r in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] ^= c
-            nxt[i] ^= field.mul(r, c)
-        coeffs = nxt
-    if max(coeffs) > 1:
-        raise AssertionError("product of (x + r) has a non-binary coefficient")
-    return Poly2(sum(c << i for i, c in enumerate(coeffs)))
-
-
 def minimal_polynomial(field: Field, element) -> Poly2:
-    """The minimal polynomial over GF(2) of a field element (x itself for 0)."""
-    a = int(element)
-    if a == 0:
-        return Poly2(0b10)
-    conjugates = []
-    cur = a
-    while cur not in conjugates:
-        conjugates.append(cur)
-        cur = field.mul(cur, cur)
-    return _expand_roots(field, conjugates)
+    """The minimal polynomial over GF(2) of a field element, read through
+    ``Field.element`` (x itself for 0): the first GF(2)-linear dependency
+    among the m-bit words 1, a, a^2, ..., by Python-int elimination of each
+    power, tagged with its polynomial, against the independent ones kept so
+    far; at most m + 1 powers, so m products."""
+    a = field.element(element)
+    kept = {}  # leading bit -> (a reduced power, the polynomial in a it equals)
+    power, degree = 1, 0
+    while True:
+        word, poly = power, 1 << degree
+        while word and word.bit_length() in kept:
+            kept_word, kept_poly = kept[word.bit_length()]
+            word ^= kept_word
+            poly ^= kept_poly
+        if not word:
+            return Poly2(poly)
+        kept[word.bit_length()] = word, poly
+        power, degree = field.mul(power, a), degree + 1
 
 
 def _splitting_field(n: int) -> Field:
@@ -110,6 +104,20 @@ def _splitting_field(n: int) -> Field:
     if m > MAX_M:
         raise ValueError(f"order of 2 mod {n} exceeds the field cap {MAX_M}")
     return get_field(m)
+
+
+def _generator_polynomial(n: int, exponents: set[int]) -> Poly2:
+    """The product of the minimal polynomials of gamma^leader over the
+    cyclotomic cosets mod n that meet exponents, gamma the least primitive
+    n-th root of unity: the least common multiple of the minimal polynomials
+    of gamma^e over e in exponents."""
+    fld = _splitting_field(n)
+    gamma = fld.element_of_order(n)
+    g = Poly2(1)
+    for coset in cyclotomic_cosets(n):
+        if not coset.members.isdisjoint(exponents):
+            g = g * minimal_polynomial(fld, fld.pow(gamma, coset.leader))
+    return g
 
 
 def _cyclic_code(n: int, generator: Poly2) -> BinaryCode:
@@ -182,16 +190,7 @@ def bch_generator_polynomial(n: int, delta: int) -> Poly2:
         raise ValueError(f"BCH length must be odd and >= 3, got {n}")
     if not 2 <= delta <= n:
         raise ValueError(f"designed distance must satisfy 2 <= delta <= n, got {delta}")
-    fld = _splitting_field(n)
-    gamma = fld.element_of_order(n)
-    leaders = []
-    for coset in cyclotomic_cosets(n):
-        if coset.leader != 0 and any(1 <= e <= delta - 1 for e in coset.members):
-            leaders.append(coset.leader)
-    g = Poly2(1)
-    for leader in sorted(leaders):
-        g = g * minimal_polynomial(fld, fld.pow(gamma, leader))
-    return g
+    return _generator_polynomial(n, set(range(1, delta)))
 
 
 def bch_code(n: int, delta: int) -> BinaryCode:
@@ -211,10 +210,8 @@ def quadratic_residue_code(n: int) -> BinaryCode:
         raise ValueError(f"QR length must be an odd prime <= 127, got {n}")
     if n % 8 not in (1, 7):
         raise ValueError(f"2 must be a square mod n (n = +-1 mod 8), got n={n}")
-    fld = _splitting_field(n)
-    gamma = fld.element_of_order(n)
-    residues = sorted({pow(i, 2, n) for i in range(1, n)})
-    return _cyclic_code(n, _expand_roots(fld, [fld.pow(gamma, r) for r in residues]))
+    # 2 is a residue, so the residues are a union of cyclotomic cosets
+    return _cyclic_code(n, _generator_polynomial(n, {pow(i, 2, n) for i in range(1, n)}))
 
 
 def golay23() -> BinaryCode:

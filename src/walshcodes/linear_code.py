@@ -8,11 +8,12 @@ The weight distribution is brute force, independent of any transform, and is
 the oracle the transform-based weight computations are checked against.  It
 is counted in blocks: the low echelon rows are expanded by doubling into a
 table of codeword bytes, the remaining rows are walked in Gray-code order
-with one xor offset per block, and each block's weights come from a bytewise
-popcount in uint8 and one ``np.bincount``.  ``codewords`` keeps the scalar
-Gray-code walk over the echelon basis as the reference for that count.  The
-MacWilliams transform evaluates Krawtchouk polynomials by their exact integer
-three-term recurrence.  Projectivity, at any rank, sorts packed columns as ``np.void`` keys.
+with one xor offset per block, and each block's weights come from
+``bitmat.word_weights`` (one ``np.bitwise_count`` pass over the block's bytes
+on numpy 2, a uint8 SWAR popcount on numpy 1.x) and one ``np.bincount``.
+``codewords`` keeps the scalar Gray-code walk over the echelon basis as the
+reference for that count.  The MacWilliams transform evaluates Krawtchouk
+polynomials by their exact integer three-term recurrence.  Projectivity, at any rank, sorts packed columns as ``np.void`` keys.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """References shared by the test modules, each independent of the fast path
 it checks: the Walsh transform as the explicit character matrix times the
 sign vector, the algebraic normal form by the Moebius butterfly on one
-byte per point, and the bit-transpose by one byte per bit packed down the
-strided axis."""
+byte per point, the bit-transpose by one byte per bit packed down the
+strided axis, and a polynomial with given roots by multiplying out its linear
+factors."""
 
 import functools
 
@@ -74,3 +75,19 @@ def transpose_bits_by_packbits(rows, width) -> np.ndarray:
     then packed down the row axis and transposed."""
     bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
     return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+
+
+def expand_roots(field: Field, roots) -> int:
+    """prod (x + r) over the field, as a GF(2)[x] bit word, by multiplying in
+    one linear factor at a time with scalar ``Field.mul``; every coefficient
+    of the product must be 0 or 1."""
+    coeffs = [1]
+    for r in roots:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] ^= c
+            nxt[i] ^= field.mul(r, c)
+        coeffs = nxt
+    if max(coeffs) > 1:
+        raise AssertionError("product of (x + r) has a non-binary coefficient")
+    return sum(c << i for i, c in enumerate(coeffs))

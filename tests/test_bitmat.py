@@ -344,16 +344,28 @@ def test_transpose_reads_a_read_only_input_and_leaves_it_unchanged(width):
     assert np.array_equal(ds.array, array)
 
 
+# the SWAR byte count is the only one numpy 1.x has; np.bitwise_count the
+# one numpy 2 legs choose at import
+BYTE_COUNTS = [bitmat._swar_byte_counts] + (
+    [np.bitwise_count] if hasattr(np, "bitwise_count") else [])
+
+
+def test_word_weights_use_bitwise_count_where_numpy_has_it():
+    assert bitmat._byte_counts is BYTE_COUNTS[-1]
+
+
 @pytest.mark.parametrize("nbytes", [1, 3, 31, 32, 33, 8191, 8192])
-def test_word_weights_match_bit_count(nbytes):
+def test_word_weights_match_bit_count(nbytes, monkeypatch):
     rng = np.random.default_rng(nbytes)
     words = rng.integers(0, 256, size=(nbytes, 5), dtype=np.uint8)
     words[:, 0] = 0xFF  # the heaviest word of this length
     words[:, 1] = 0
-    weights = bitmat.word_weights(words)
     expected = [int.from_bytes(words[:, j].tobytes(), "little").bit_count()
                 for j in range(words.shape[1])]
-    assert weights.tolist() == expected  # no overflow at 8 * nbytes
+    for byte_counts in BYTE_COUNTS:  # every leg runs the numpy 1.x path too
+        monkeypatch.setattr(bitmat, "_byte_counts", byte_counts)
+        weights = bitmat.word_weights(words)
+        assert weights.tolist() == expected, byte_counts  # no overflow at 8 * nbytes
 
 
 def test_columns_rejects_more_than_32_rows():

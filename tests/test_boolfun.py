@@ -604,6 +604,16 @@ def test_spectrum_counts_without_the_trace_ordered_array(monkeypatch):
         spec.values
 
 
+def test_spectrum_leaves_the_callers_array_writable():
+    fn = trace_component(field(3), 1)
+    values = fn.walsh_transform().values.copy()
+    spec = WalshSpectrum(fn, values)
+    assert values.flags.writeable
+    values[:] = 0  # the spectrum holds its own copy
+    assert not spec.values.flags.writeable
+    assert spec.histogram() == fn.walsh_transform().histogram()
+
+
 def test_spectrum_rejects_nan_and_odd_coefficients():
     fn = BooleanFunction(field(2), [0, 0, 0, 1])
     with pytest.raises(ValueError, match=r"outside \[-2\^2, 2\^2\]"):

@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from walshcodes import gf2
+from walshcodes import catalog, gf2
 from walshcodes.boolfun import BooleanFunction
-from walshcodes.cli import CATALOG_FACTS
+from walshcodes.cli import CATALOG_FACTS, FAMILIES
 from walshcodes.catalog import (
     CyclotomicCoset,
     Poly2,
@@ -31,6 +31,7 @@ from walshcodes.defining_set import (
 )
 from walshcodes.gf2 import field
 
+from reference import expand_roots
 from test_bitmat import transpose_by_loop
 
 # the (n, k, d) and weight-distribution facts that `verify catalog` checks
@@ -94,6 +95,23 @@ def test_minimal_polynomial_properties():
         assert eval_poly(f, p.word, v) == 0
         assert 4 % p.degree == 0
         assert gf2.is_irreducible(p.word)
+
+
+def test_minimal_polynomial_is_the_product_over_the_conjugates():
+    for m in range(1, 9):
+        f = field(m)
+        for a in range(f.order):
+            conjugates = [a]
+            while f.mul(conjugates[-1], conjugates[-1]) != a:
+                conjugates.append(f.mul(conjugates[-1], conjugates[-1]))
+            assert minimal_polynomial(f, a).word == expand_roots(f, conjugates), (m, a)
+
+
+def test_minimal_polynomial_reads_its_element_as_a_field_word():
+    for bad in (2.5, 100, -1, "2"):
+        with pytest.raises(ValueError, match="is not an 3-bit word") as info:
+            minimal_polynomial(field(3), bad)
+        assert "\n" not in str(info.value)
 
 
 def test_poly2_arithmetic_and_rendering():
@@ -187,6 +205,33 @@ def test_bch_generator_polynomials():
     assert bch_generator_polynomial(15, 2).word == bch_generator_polynomial(15, 3).word
     g = bch_generator_polynomial(31, 7)
     assert g.divides(Poly2((1 << 31) | 1))
+
+
+# the BCH and QR codes of the benchmark's analyze workload, besides those
+# CATALOG_FACTS and FAMILIES name
+BENCHMARK_CYCLIC = [f"bch:n={n},d={d}" for n, d in (
+    (7, 3), (15, 3), (15, 5), (15, 7), (21, 3), (21, 5), (21, 7), (21, 9), (23, 3),
+    (31, 7), (31, 9), (31, 13), (45, 9), (45, 17), (51, 13), (51, 19), (63, 17),
+    (85, 33), (93, 25), (127, 49), (127, 57))] + [f"qr:n={n}" for n in (7, 17, 23, 31)]
+# golay23 is qr:n=23, and extended_golay24 extends it
+NAMED_CYCLIC = sorted(
+    {"qr:n=23" if "golay" in name else name
+     for name in [fact[0] for fact in CATALOG_FACTS] + [s for *_, specs in FAMILIES for s in specs]
+     + BENCHMARK_CYCLIC if re.fullmatch(r"bch:.*|qr:.*|golay23|extended_golay24", name)})
+
+
+@pytest.mark.parametrize("name", NAMED_CYCLIC)
+def test_cyclic_generator_is_the_product_over_its_zero_set(name):
+    n, *delta = map(int, re.findall(r"\d+", name))
+    if name.startswith("bch"):  # the cosets that meet 1, ..., delta - 1
+        zeros = {e for c in cyclotomic_cosets(n) if c.members & set(range(1, delta[0]))
+                 for e in c.members}
+    else:  # the nonzero squares mod n
+        zeros = {pow(i, 2, n) for i in range(1, n)}
+    f = catalog._splitting_field(n)
+    gamma = f.element_of_order(n)
+    # a cyclic code's first generator row is its generator polynomial
+    assert build_from_name(name).rows[0] == expand_roots(f, [f.pow(gamma, e) for e in zeros])
 
 
 def test_bch_code_parameters():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walshcodes import catalog, linear_code
+from walshcodes import bitmat, boolfun, catalog, linear_code
 from walshcodes.linear_code import (
     ENUMERATION_LIMIT,
     BinaryCode,
@@ -280,6 +280,16 @@ def test_blocked_enumeration_equals_the_gray_code_walk(case, block_bytes):
         dist = code.weight_distribution()
     assert dist == dict(sorted(Counter(c.bit_count() for c in code.codewords()).items()))
     assert list(dist) == sorted(dist)
+
+
+def test_blocked_enumeration_uses_no_transform_on_either_byte_count():
+    # the enumeration is the oracle for the transform, so it must not call it
+    code = catalog.bch_code(31, 7)
+    expected = dict(sorted(Counter(c.bit_count() for c in code.codewords()).items()))
+    for byte_counts in {bitmat._swar_byte_counts, bitmat._byte_counts}:
+        with mock.patch.object(boolfun, "_fwht", side_effect=AssertionError("transform")), \
+                mock.patch.object(bitmat, "_byte_counts", byte_counts):
+            assert BinaryCode(code.rows, code.n).weight_distribution() == expected
 
 
 def test_blocked_enumeration_beyond_16_bit_weights():
