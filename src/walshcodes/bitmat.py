@@ -16,22 +16,26 @@ over each run of 8 rows.  ``word_weights`` counts the set bits of words held
 as bytes: one ``np.bitwise_count`` pass where numpy has it (2.0 and later),
 else a uint8 SWAR reduction.  ``as_ints`` and ``integers`` read the integer
 inputs of the package's constructors (rows, field elements, support points)
-without truncating floats or parsing strings.
+without truncating floats or parsing strings; ``integers`` reads a list or
+tuple of 32-bit ints in one C pass.
 
 Every GF(2)-linear map on words goes through one kernel: ``span(images)`` is
 the table of all 2^len(images) subset xors of the images, which is the map
 applied to every word of len(images) bits, and ``linear_map`` applies a map
 of up to 32 input bits to an array of words through one ``span`` table per
-input byte.  Those tables are built once for each distinct tuple of images
+run of input bits.  The runs are near-equal and at most 14 bits long, so a
+map of up to 14 input bits (every field up to GF(2^14)) is one ``take`` from
+one table.  Those tables are built once for each distinct tuple of images
 and kept, read-only, in a bounded least-recently-used cache, so a map applied
-again (the trace form, a dual basis) costs one gather per input byte.  A map
-used only once builds its tables with ``span_tables`` and applies them with
+again (the trace form, a dual basis) costs one gather per run.  A map used
+only once builds its tables with ``span_tables`` and applies them with
 ``apply_span_tables``, the gather behind ``linear_map``, so it evicts none of
 the cached maps.
 """
 
 from __future__ import annotations
 
+import array
 import operator
 from functools import lru_cache
 
@@ -67,8 +71,16 @@ def as_ints(values, what: str) -> tuple[int, ...]:
 def integers(values, what: str):
     """values as a 1-D integer ndarray when numpy holds them in an integer
     dtype, else as a tuple of Python ints (``as_ints``, which names the first
-    value that is not an integer as "<what> <value>")."""
-    if not isinstance(values, (np.ndarray, list, tuple)):
+    value that is not an integer as "<what> <value>").  A nonempty list or
+    tuple of ints in 0..2^32 - 1 is read into a fresh uint32 array in one C
+    pass; any other value there (a float, a string, None, a negative or wider
+    int) raises inside ``array.array`` and takes the general path."""
+    if isinstance(values, (list, tuple)) and values:
+        try:
+            return np.frombuffer(array.array("I", values), dtype=np.uintc)
+        except (TypeError, OverflowError):
+            pass
+    elif not isinstance(values, (np.ndarray, list, tuple)):
         values = list(values)  # a generator is read once
     try:
         arr = np.asarray(values)
@@ -248,34 +260,56 @@ def linear_map(images, words) -> np.ndarray:
     word; bits of a word at or above len(images) are ignored.  Both images
     and words are at most 32 bits wide.  The ``span_tables`` of the images
     are built on the first call for a tuple of images and kept in the bounded
-    cache of ``_byte_tables``; a later call with the same images costs
-    one gather per input byte."""
-    return apply_span_tables(_byte_tables(tuple(map(int, images))), words)
+    cache of ``_run_tables``; a later call with the same images costs one
+    gather per run of input bits, a single gather up to 14 bits."""
+    return apply_span_tables(_run_tables(tuple(map(int, images))), words)
 
 
 def apply_span_tables(tables, words) -> np.ndarray:
     """The linear map whose ``span_tables`` are tables, applied to every word:
-    one gather per input byte, xored into a fresh uint32 array."""
+    one ``take`` per table, xored into a fresh uint32 array.  Table t, of
+    2^b entries, is indexed by the b bits of a word that follow the bits of
+    the tables before it, masked out, so bits at or above len(images) are
+    ignored."""
     words = np.asarray(words, dtype=np.uint32)
     if not tables:
         return np.zeros(words.shape, dtype=np.uint32)
-    out = tables[0][words & np.uint32(len(tables[0]) - 1)]
-    for byte, table in enumerate(tables[1:], 1):
-        out ^= table[(words >> np.uint32(8 * byte)) & np.uint32(len(table) - 1)]
+    out = tables[0].take(words & np.uint32(len(tables[0]) - 1))
+    shift = len(tables[0]).bit_length() - 1
+    for table in tables[1:]:
+        run = words >> np.uint32(shift)
+        run &= np.uint32(len(table) - 1)
+        out ^= table.take(run)
+        shift += len(table).bit_length() - 1
     return out
 
 
+# the widest run of input bits that one span table covers, chosen by a sweep of
+# 8..16 bits (BENCH_23.json): a map of up to 14 input bits, every field up to
+# m = 14, is one gather, and 15 bits would double the cache's worst case
+_RUN_BITS = 14
+
+
 def span_tables(images) -> tuple[np.ndarray, ...]:
-    """The read-only ``span`` table of each run of 8 images (the last run may
-    be shorter), at most 1 KB each: table b maps input byte b."""
-    tables = tuple(span(images[base:base + 8]) for base in range(0, len(images), 8))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    """The read-only ``span`` tables of the images split into ceil(w/14)
+    near-equal runs, w = len(images), the longer runs first: one run up to
+    w = 14, two of 10 bits at w = 20, runs of 11, 11 and 10 bits at w = 32.
+    Table t maps the bits of run t; no table exceeds 2^14 entries (64 KiB)."""
+    w = len(images)
+    runs = -(-w // _RUN_BITS)
+    tables, base = [], 0
+    for t in range(runs):
+        size = w // runs + (t < w % runs)
+        tables.append(span(images[base:base + size]))
+        tables[-1].setflags(write=False)
+        base += size
+    return tuple(tables)
 
 
-# at most 4 KB an entry, so the cache holds at most 512 KB
-_byte_tables = lru_cache(maxsize=128)(span_tables)
+# an entry is at most 128 KiB, two tables of 2^14 uint32 at w = 28 (w = 29..32
+# take three runs of at most 11 bits, 24 KiB), so the cache holds at most
+# 128 * 128 KiB = 16 MiB
+_run_tables = lru_cache(maxsize=128)(span_tables)
 
 
 def span(images) -> np.ndarray:

@@ -25,7 +25,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,8 +50,11 @@ class DefiningSet:
     of the generated code.
 
     The elements are one read-only uint32 array, ``array``, which the set
-    owns: an input array is copied, never aliased.  ``values`` is the same
-    sequence as a tuple of Python ints, built on first read."""
+    owns: an input array is copied, never aliased.  A list or tuple of ints
+    below 2^32 is read in one C pass (``bitmat.integers``) and checked with
+    one max; any other input is read and checked as before, with the same
+    error texts.  ``values`` is the same sequence as a tuple of Python ints,
+    built on first read."""
 
     def __init__(self, field, elements):
         self.field = as_field(field)
@@ -60,8 +63,9 @@ class DefiningSet:
         if not len(ints):
             raise ValueError("defining set must contain at least one element")
         if isinstance(ints, np.ndarray):
-            outside = (ints < 0) | (ints >= order)
-            if outside.any():
+            # unsigned input, a list read by bitmat.integers among it, needs one max
+            if ints.max() >= order or (ints.dtype.kind == "i" and ints.min() < 0):
+                outside = (ints < 0) | (ints >= order)
                 raise ValueError(f"element {int(ints[np.argmax(outside)])} "
                                  f"outside GF(2^{self.field.m})")
         elif min(ints) < 0 or max(ints) >= order:
@@ -137,6 +141,13 @@ def codeword_weight(ds: DefiningSet, x) -> int:
     return sum(f.trace(f.mul(x, v)) for v in ds.array.tolist())
 
 
+@lru_cache(maxsize=128)
+def _basis_columns(basis: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The column words of the m-bit basis words, the images of the
+    self-check's last map; a basis is transposed once, not on every extraction."""
+    return tuple(bitmat.columns(basis, m).tolist())
+
+
 def extract_defining_set(code: BinaryCode, field: Field | None = None,
                          basis=None) -> DefiningSet:
     """Invert the construction: read d_j = sum_i G[i][j] * beta_i off the
@@ -166,7 +177,7 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     # Tr(b_i * v) = parity(b_i & tc(v)), tc the trace coordinates: a linear
     # map of tc(v) whose images are the transposed basis words
     coords = bitmat.linear_map(fld.trace_form_rows, vals)
-    rebuilt = bitmat.linear_map(bitmat.columns(basis, fld.m), coords)
+    rebuilt = bitmat.linear_map(_basis_columns(tuple(basis), fld.m), coords)
     if not np.array_equal(rebuilt, cols):
         raise AssertionError("extraction failed to reproduce the generator row")
     return DefiningSet(fld, vals)

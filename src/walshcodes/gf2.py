@@ -178,9 +178,9 @@ class Field:
         try:
             v = operator.index(value)
         except TypeError:
-            raise ValueError(f"value {value!r} is not an {self.m}-bit word") from None
+            raise ValueError(f"value {value!r} is not a word of {self.m} bits") from None
         if not 0 <= v < self.order:
-            raise ValueError(f"value {v} is not an {self.m}-bit word")
+            raise ValueError(f"value {v} is not a word of {self.m} bits")
         return v
 
     @property

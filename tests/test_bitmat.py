@@ -387,25 +387,42 @@ def linear_map_by_bits(images, words):
 
 
 def test_linear_map_matches_bit_by_bit_xor():
-    """Images given as a list, a tuple or a uint32 array give one result."""
+    """For every image count w = 0..32, the run edges 14/15 and 28/29 among
+    them, the cached map and the uncached tables both equal the bit-by-bit
+    xor, on words with bits set above w too; images given as a list, a tuple
+    or a uint32 array give one result."""
     rng = random.Random(10)
-    for _ in range(300):
-        images = random_rows(rng, rng.randint(0, 32), 32)
-        words = random_rows(rng, rng.randint(0, 20), 32)
+    for w in [*range(33)] * 9:
+        images = random_rows(rng, w, 32)
+        words = random_rows(rng, rng.randint(0, 20), 32) + [0, (1 << w) - 1, 0xFFFFFFFF]
+        if w < 32:  # low words with one bit set above the images
+            words += [v | 1 << rng.randrange(w, 32) for v in random_rows(rng, 4, w)]
         want = linear_map_by_bits(images, words)
+        got = bitmat.apply_span_tables(bitmat.span_tables(images), words)
+        assert got.dtype == np.uint32 and got.tolist() == want, w
         for given_images in (images, tuple(images), np.array(images, dtype=np.uint32)):
             got = bitmat.linear_map(given_images, words)
-            assert got.dtype == np.uint32 and got.tolist() == want
+            assert got.dtype == np.uint32 and got.tolist() == want, w
+
+
+def test_span_tables_split_the_images_into_near_equal_runs_of_at_most_14():
+    for w in range(33):
+        runs = [len(t).bit_length() - 1 for t in bitmat.span_tables(list(range(w)))]
+        assert len(runs) == -(-w // 14) and sum(runs) == w, (w, runs)
+        assert runs == sorted(runs, reverse=True) and (not runs or runs[0] - runs[-1] <= 1)
+    assert [[len(t).bit_length() - 1 for t in bitmat.span_tables(list(range(w)))]
+            for w in (13, 14, 20, 32)] == [[13], [14], [10, 10], [11, 11, 10]]
 
 
 def test_linear_map_results_are_fresh_arrays_and_cached_tables_are_read_only():
-    images = [0x9E3779B9, 0x7F4A7C15, 3, 5, 0xDEADBEEF, 1, 2, 4, 8, 0xFFFFFFFF]
-    words = [0, 1, 0x3FF, 0x2AA, 0x155]
+    images = [0x9E3779B9, 0x7F4A7C15, 3, 5, 0xDEADBEEF, 1, 2, 4, 8, 0xFFFFFFFF,
+              0x10, 0x20, 0x40, 0x80, 0x100, 0x200, 0x400, 0x800, 0x1000, 0x2000]
+    words = [0, 1, 0x3FF, 0x2AA, 0x155, 0xFFFFF, 0xFFFFFFFF, 0xABCDE]
     first = bitmat.linear_map(images, words)
     first[:] = 0xAAAAAAAA
     assert bitmat.linear_map(images, words).tolist() == linear_map_by_bits(images, words)
-    tables = bitmat._byte_tables(tuple(images))
-    assert [len(t) for t in tables] == [256, 4]
+    tables = bitmat._run_tables(tuple(images))
+    assert [len(t) for t in tables] == [1024, 1024]  # 20 bits: two runs of 10
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -421,17 +438,19 @@ def test_span_runs_once_per_distinct_images(monkeypatch):
         return real_span(images)
 
     monkeypatch.setattr(bitmat, "span", counting_span)
-    bitmat._byte_tables.cache_clear()
-    images = [3, 0x11, 0x80000000, 7, 9, 0x1234, 0x55, 0xF0F0, 1, 2, 6]  # 2 bytes
-    words = np.arange(1 << 11, dtype=np.uint32)
+    bitmat._run_tables.cache_clear()
+    images = [3, 0x11, 0x80000000, 7, 9, 0x1234, 0x55, 0xF0F0, 1, 2, 6,
+              0x400, 0x8001, 0x7FFF, 0x10000, 0xC0DE, 0xFFFFFFFF]  # 17 bits: runs of 9 and 8
+    rng = np.random.default_rng(23)
+    words = rng.integers(0, 1 << 32, size=2000, dtype=np.uint64).astype(np.uint32)
     want = linear_map_by_bits(images, words.tolist())
     for given_images in (images, tuple(images), np.array(images, dtype=np.uint32)):
         assert bitmat.linear_map(given_images, words).tolist() == want
-    assert calls == [tuple(images[:8]), tuple(images[8:])]
-    other = images[:10]
+    assert calls == [tuple(images[:9]), tuple(images[9:])]
+    other = images[:14]  # one run
     bitmat.linear_map(other, words)
     bitmat.linear_map(other, words[:5])
-    assert calls[2:] == [tuple(other[:8]), tuple(other[8:])]
+    assert calls[2:] == [tuple(other)]
 
 
 def test_linear_map_with_no_images_is_zero():

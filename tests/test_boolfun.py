@@ -205,6 +205,35 @@ def test_from_support_rejects_points_that_are_not_integers(support, bad):
     assert BooleanFunction.from_support(field(3), ints).support_values() == [1, 2, 4]
 
 
+@pytest.mark.parametrize("bad,message", [
+    (1.5, "support point 1.5 is not an integer"),
+    ("3", "support point '3' is not an integer"),
+    (None, "support point None is not an integer"),
+    (-1, "support point -1 outside GF(2^3)"),
+    (1 << 32, f"support point {1 << 32} outside GF(2^3)"),
+    (8, "support point 8 outside GF(2^3)"),
+])
+def test_from_support_reads_lists_and_tuples_with_the_documented_error_order(bad, message):
+    # a list or tuple of ints in 0..2^32 - 1 is read in one C pass; what that
+    # read refuses is named as it is in a generator of the same points
+    f = field(3)
+    # a point that is not an integer is named before a repeat, an outsider after it
+    after_repeat = message if "integer" in message else "duplicate support point 2; supports are sets"
+    for points, want in (([2, bad, 3], message), ([bad, 2, 2], message),
+                         ([2, 2, bad], after_repeat)):
+        for given in (points, tuple(points), (p for p in points)):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                BooleanFunction.from_support(f, given)
+
+
+def test_from_support_reads_lists_of_any_integers_as_arrays_are_read():
+    f = field(3)
+    for points in ([5, 0, 7], [np.int64(5), np.uint8(0), np.uint32(7)], [True, False], []):
+        want = BooleanFunction.from_support(f, np.array([int(p) for p in points], dtype=np.int64))
+        for given in (points, tuple(points), (p for p in points)):
+            assert BooleanFunction.from_support(f, given) == want
+
+
 def test_hex_round_trip():
     rng = random.Random(31)
     for m in range(1, 7):
@@ -842,10 +871,10 @@ def test_trace_component_takes_exactly_the_words_of_the_field():
     want = [f.trace(f.mul(f.order - 1, x)) for x in range(f.order)]
     assert trace_component(f, f.order - 1) == BooleanFunction(f, want)
     for a in (-1, f.order):
-        with pytest.raises(ValueError, match=f"^value {a} is not an 4-bit word$"):
+        with pytest.raises(ValueError, match=f"^value {a} is not a word of 4 bits$"):
             trace_component(f, a)
     # a float is no word, not even one that int() would truncate to a word
-    with pytest.raises(ValueError, match="^value 1.5 is not an 3-bit word$"):
+    with pytest.raises(ValueError, match="^value 1.5 is not a word of 3 bits$"):
         trace_component(field(3), 1.5)
 
 

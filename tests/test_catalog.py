@@ -109,7 +109,7 @@ def test_minimal_polynomial_is_the_product_over_the_conjugates():
 
 def test_minimal_polynomial_reads_its_element_as_a_field_word():
     for bad in (2.5, 100, -1, "2"):
-        with pytest.raises(ValueError, match="is not an 3-bit word") as info:
+        with pytest.raises(ValueError, match="is not a word of 3 bits") as info:
             minimal_polynomial(field(3), bad)
         assert "\n" not in str(info.value)
 

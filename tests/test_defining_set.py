@@ -153,10 +153,38 @@ HUGE = 1 << 70
     (_generator([]), "defining set must contain at least one element"),
     (np.array([]), "defining set must contain at least one element"),
     (np.array([], dtype=np.uint32), "defining set must contain at least one element"),
+    # what the one-pass read of a list or tuple refuses keeps its text
+    ([2, None, 3], "element None is not an integer"),
+    ((2, "3", 3), "element '3' is not an integer"),
+    ((2, -1, 3), "element -1 outside GF(2^3)"),
+    ([2, 1 << 32, 3], f"element {1 << 32} outside GF(2^3)"),
+    ((2, 1 << 32, 3), f"element {1 << 32} outside GF(2^3)"),
+    ([2, 8, 3], "element 8 outside GF(2^3)"),
+    ((2, 8, 3), "element 8 outside GF(2^3)"),
 ])
 def test_defining_set_error_texts_do_not_depend_on_the_container(elements, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DefiningSet(field(3), elements)
+
+
+# lists and tuples of these are read in one C pass, generators and arrays not
+ONE_PASS_VALUES = {
+    "int": [5, 0, 7, 5], "numpy": [np.int64(5), np.uint8(0), np.uint32(7), np.int8(5)],
+    "bool": [True, False, True], "mixed": [np.uint16(5), 0, True, 7],
+}
+
+
+@pytest.mark.parametrize("kind", ONE_PASS_VALUES)
+def test_lists_and_tuples_read_in_one_pass_give_the_set_other_containers_give(kind):
+    f = field(3)
+    values = ONE_PASS_VALUES[kind]
+    want = [int(v) for v in values]
+    for make in (list, tuple, _generator, lambda v: np.array(want)):
+        ds = DefiningSet(f, make(values))
+        assert ds.array.dtype == np.uint32 and ds.array.tolist() == want
+        assert not ds.array.flags.writeable and ds.array.flags.owndata
+        assert ds.values == tuple(want) and all(type(v) is int for v in ds.values)
+        assert DefiningSet.from_support(f, make(values)).values == tuple(sorted(want))
 
 
 def test_from_support_names_the_least_element_outside_the_field():
@@ -293,7 +321,7 @@ def test_codeword_weight_takes_exactly_the_words_of_the_field():
     assert codeword_weight(ds, np.uint8(2)) == codeword_weight(ds, 2)
     # int() would truncate 2.7 and read "3" as decimal; 9 and -1 are no words
     for x, shown in ((2.7, "2.7"), ("3", "'3'"), (9, "9"), (-1, "-1")):
-        with pytest.raises(ValueError, match=f"^value {shown} is not an 3-bit word$"):
+        with pytest.raises(ValueError, match=f"^value {shown} is not a word of 3 bits$"):
             codeword_weight(ds, x)
 
 
@@ -371,7 +399,7 @@ def test_extract_errors():
     with pytest.raises(ValueError):
         extract_defining_set(code, field=field(3))  # degree 3 != k = 2
     # a basis of GF(8) holds a word with more bits than GF(4) has
-    with pytest.raises(ValueError, match="^value 4 is not an 2-bit word$"):
+    with pytest.raises(ValueError, match="^value 4 is not a word of 2 bits$"):
         extract_defining_set(code, basis=field(3).polynomial_basis)
     with pytest.raises(ValueError, match="^basis needs 2 elements, got 1$"):
         extract_defining_set(code, basis=[1])

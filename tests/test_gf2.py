@@ -357,9 +357,9 @@ def test_basis_rejects_dependent_or_foreign_elements():
     with pytest.raises(ValueError, match="^basis needs 3 elements, got 0$"):
         f.dual_basis([])
     # a word of GF(16) with m + 1 bits belongs to no basis of GF(8)
-    with pytest.raises(ValueError, match="^value 8 is not an 3-bit word$"):
+    with pytest.raises(ValueError, match="^value 8 is not a word of 3 bits$"):
         f.dual_basis([1, 2, 8])
-    with pytest.raises(ValueError, match="^value 2.0 is not an 3-bit word$"):
+    with pytest.raises(ValueError, match="^value 2.0 is not a word of 3 bits$"):
         f.dual_basis([1, 2.0, 4])
 
 
@@ -454,11 +454,11 @@ def test_exp_table_leaves_the_cached_span_tables_alone():
     # one-shot maps neither look them up nor evict them
     for m in range(1, 19):
         field(m).trace_form_rows, field(m).dual_polynomial_basis
-    before = bitmat._byte_tables.cache_info()
+    before = bitmat._run_tables.cache_info()
     for m in range(2, 19):
         fresh = gf2.Field(m)
         assert fresh.exp_table.tolist() == field(m).exp_table.tolist()
-    assert bitmat._byte_tables.cache_info() == before
+    assert bitmat._run_tables.cache_info() == before
 
 
 def test_element_of_order_is_least_with_that_order():
@@ -482,8 +482,8 @@ def test_element_of_order_is_least_with_that_order():
     (lambda f: f.element_of_order(3.0), "order n=3.0 is not an integer"),
     (lambda f: f.element_of_order("3"), "order n='3' is not an integer"),
     (lambda f: f.relative_trace_raw(3, 2.0), "subfield degree h=2.0 is not an integer"),
-    (lambda f: f.relative_trace_raw(3.0, 2), "value 3.0 is not an 4-bit word"),
-    (lambda f: f.relative_trace_raw(16, 2), "value 16 is not an 4-bit word"),
+    (lambda f: f.relative_trace_raw(3.0, 2), "value 3.0 is not a word of 4 bits"),
+    (lambda f: f.relative_trace_raw(16, 2), "value 16 is not a word of 4 bits"),
     (lambda f: f.subfield(2.0), "subfield degree h=2.0 is not an integer"),
 ], ids=["order-float", "order-str", "trace-h-float", "trace-a-float", "trace-a-range",
         "subfield-float"])
@@ -559,10 +559,10 @@ def test_element_is_the_checked_int():
     f = field(4)
     assert f.element(9) == 9 and type(f.element(np.uint8(9))) is int
     for bad in (-1, 16, 1 << 40):
-        with pytest.raises(ValueError, match=f"^value {bad} is not an 4-bit word$"):
+        with pytest.raises(ValueError, match=f"^value {bad} is not a word of 4 bits$"):
             f.element(bad)
     for bad, shown in ((2.0, "2.0"), ("3", "'3'"), (None, "None")):
-        with pytest.raises(ValueError, match=f"^value {shown} is not an 4-bit word$"):
+        with pytest.raises(ValueError, match=f"^value {shown} is not a word of 4 bits$"):
             f.element(bad)
     assert f.alpha == 2 and field(1).alpha == 0
 
