@@ -2,6 +2,7 @@
 
 from walshcodes import build_from_name
 from walshcodes.catalog import bch_generator_polynomial
+from walshcodes.gf2 import poly_str
 
 NAMES = [
     "simplex:k=3",
@@ -34,7 +35,7 @@ def main():
               f"{str(code.is_projective()):<11} {{{shown}}}")
 
     print("\nnarrow-sense BCH generator for n=15, designed distance 5:")
-    print(f"  {bch_generator_polynomial(15, 5)}")
+    print(f"  {poly_str(bch_generator_polynomial(15, 5))}")
 
     golay = build_from_name("golay23")
     print("\nbinary Golay [23, 12, 7] weight distribution:")

@@ -10,8 +10,7 @@ and a CLI.
 """
 
 from .gf2 import MAX_M, Field, default_modulus, field, is_irreducible
-from .boolfun import (Anf, BooleanFunction, WalshSpectrum, bent_function,
-                      random_function)
+from .boolfun import BooleanFunction, WalshSpectrum, bent_function, random_function
 from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
                           random_spanning_rows)
 from .defining_set import (DefiningSet, NotProjectiveError,
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_M", "Field", "default_modulus", "field", "is_irreducible",
-    "Anf", "BooleanFunction", "WalshSpectrum", "bent_function",
-    "random_function",
+    "BooleanFunction", "WalshSpectrum", "bent_function", "random_function",
     "ENUMERATION_LIMIT", "BinaryCode", "macwilliams_transform", "random_spanning_rows",
     "DefiningSet", "NotProjectiveError", "SpectralWeightReport",
     "bivariate_view", "boolean_from_code", "code_from_defining_set",

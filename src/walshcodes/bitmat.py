@@ -91,10 +91,6 @@ def integers(values, what: str):
     return as_ints(values, what)
 
 
-def parity(word: int) -> int:
-    return word.bit_count() & 1
-
-
 def rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form.
 

@@ -236,9 +236,11 @@ class BooleanFunction:
             h *= 2
         return words
 
-    def anf(self) -> "Anf":
+    def anf(self) -> frozenset[int]:
+        """The algebraic normal form as its set of monomials, each a mask of
+        the variables it multiplies (0 for the constant 1)."""
         bits = np.unpackbits(self._moebius().view(np.uint8), bitorder="little")
-        return Anf(self.field, frozenset(np.flatnonzero(bits[:self.field.order]).tolist()))
+        return frozenset(np.flatnonzero(bits[:self.field.order]).tolist())
 
     def algebraic_degree(self) -> int:
         """Largest weight among the nonzero ANF coefficients' indices, read off
@@ -356,45 +358,6 @@ class WalshSpectrum:
 
     def nonlinearity(self) -> int:
         return (self.field.order - self.max_abs()) // 2
-
-
-class Anf:
-    """Algebraic normal form: an xor of monomials, each a mask of variables."""
-
-    def __init__(self, field, monomials: frozenset[int]):
-        self.field = as_field(field)
-        self.monomials = frozenset(int(x) for x in monomials)
-        for x in self.monomials:
-            if not 0 <= x < self.field.order:
-                raise ValueError(f"monomial mask {x} outside GF(2^{self.field.m})")
-
-    def degree(self) -> int:
-        return max((x.bit_count() for x in self.monomials), default=0)
-
-    def evaluate(self, x: int) -> int:
-        """Direct evaluation (independent of the butterfly that built the form)."""
-        return sum(1 for mask in self.monomials if x & mask == mask) & 1
-
-    def to_function(self) -> BooleanFunction:
-        return BooleanFunction(self.field, [self.evaluate(x) for x in range(self.field.order)])
-
-    def __str__(self):
-        if not self.monomials:
-            return "0"
-        terms = []
-        for mask in sorted(self.monomials):
-            if mask == 0:
-                terms.append("1")
-            else:
-                terms.append("*".join(f"x{i}" for i in range(self.field.m) if (mask >> i) & 1))
-        return " + ".join(terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, Anf) and self.field == other.field
-                and self.monomials == other.monomials)
-
-    def __hash__(self):
-        return hash((self.field, self.monomials))
 
 
 def trace_component(field, a: int) -> BooleanFunction:

@@ -2,13 +2,14 @@
 simplex, punctured simplex (MacDonald), Hamming, Reed-Muller, BCH,
 quadratic-residue (including the [23,12,7] Golay code and its extension),
 and irreducible cyclic codes, plus the cyclotomic-coset / minimal-polynomial
-machinery the cyclic constructions need.
+machinery the cyclic constructions need.  A GF(2)[x] polynomial is an int
+(bit i = coefficient of x^i), written out by ``gf2.poly_str``; a cyclotomic
+coset is a frozenset of residues, its leader the least member.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -16,48 +17,15 @@ import numpy as np
 
 from . import bitmat
 from .defining_set import DefiningSet, code_from_defining_set
-from .gf2 import MAX_M, Field, _prime_factors, field as get_field, poly_divmod, poly_mul
+from .gf2 import (MAX_M, Field, _prime_factors, field as get_field, poly_degree,
+                  poly_divmod, poly_mul, poly_str)
 from .linear_code import ENUMERATION_LIMIT, BinaryCode
 
 
-@dataclass(frozen=True)
-class Poly2:
-    """A polynomial over GF(2) as a bit word (bit i = coefficient of x^i)."""
-
-    word: int
-
-    @property
-    def degree(self) -> int:
-        return self.word.bit_length() - 1
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        return Poly2(poly_mul(self.word, other.word))
-
-    def divides(self, other: "Poly2") -> bool:
-        return poly_divmod(other.word, self.word)[1] == 0
-
-    def __str__(self):
-        if self.word == 0:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            if (self.word >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return " + ".join(terms)
-
-
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    """An orbit of residues mod n under multiplication by 2."""
-
-    n: int
-    leader: int
-    members: frozenset[int]
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_cosets(n: int) -> tuple[CyclotomicCoset, ...]:
-    """Partition of {0, ..., n-1} into orbits under doubling mod n."""
+def cyclotomic_cosets(n: int) -> tuple[frozenset[int], ...]:
+    """Partition of {0, ..., n-1} into orbits under doubling mod n, ordered
+    by least member (the coset leader)."""
     if n % 2 == 0 or not 3 <= n <= 4095:
         raise ValueError(f"cyclotomic cosets need odd n in [3, 4095], got {n}")
     seen = [False] * n
@@ -71,11 +39,11 @@ def cyclotomic_cosets(n: int) -> tuple[CyclotomicCoset, ...]:
             members.add(cur)
             seen[cur] = True
             cur = (2 * cur) % n
-        out.append(CyclotomicCoset(n=n, leader=min(members), members=frozenset(members)))
+        out.append(frozenset(members))
     return tuple(out)
 
 
-def minimal_polynomial(field: Field, element) -> Poly2:
+def minimal_polynomial(field: Field, element) -> int:
     """The minimal polynomial over GF(2) of a field element, read through
     ``Field.element`` (x itself for 0): the first GF(2)-linear dependency
     among the m-bit words 1, a, a^2, ..., by Python-int elimination of each
@@ -91,7 +59,7 @@ def minimal_polynomial(field: Field, element) -> Poly2:
             word ^= kept_word
             poly ^= kept_poly
         if not word:
-            return Poly2(poly)
+            return poly
         kept[word.bit_length()] = word, poly
         power, degree = field.mul(power, a), degree + 1
 
@@ -106,27 +74,27 @@ def _splitting_field(n: int) -> Field:
     return get_field(m)
 
 
-def _generator_polynomial(n: int, exponents: set[int]) -> Poly2:
+def _generator_polynomial(n: int, exponents: set[int]) -> int:
     """The product of the minimal polynomials of gamma^leader over the
     cyclotomic cosets mod n that meet exponents, gamma the least primitive
     n-th root of unity: the least common multiple of the minimal polynomials
     of gamma^e over e in exponents."""
     fld = _splitting_field(n)
     gamma = fld.element_of_order(n)
-    g = Poly2(1)
+    g = 1
     for coset in cyclotomic_cosets(n):
-        if not coset.members.isdisjoint(exponents):
-            g = g * minimal_polynomial(fld, fld.pow(gamma, coset.leader))
+        if not coset.isdisjoint(exponents):
+            g = poly_mul(g, minimal_polynomial(fld, fld.pow(gamma, min(coset))))
     return g
 
 
-def _cyclic_code(n: int, generator: Poly2) -> BinaryCode:
-    if generator.word == 0:
+def _cyclic_code(n: int, generator: int) -> BinaryCode:
+    if generator == 0:
         raise ValueError("zero generator polynomial")
-    if poly_divmod((1 << n) | 1, generator.word)[1] != 0:
-        raise ValueError(f"generator {generator} does not divide x^{n} + 1")
-    k = n - generator.degree
-    rows = [generator.word << i for i in range(k)]
+    if poly_divmod((1 << n) | 1, generator)[1] != 0:
+        raise ValueError(f"generator {poly_str(generator)} does not divide x^{n} + 1")
+    k = n - poly_degree(generator)
+    rows = [generator << i for i in range(k)]
     return BinaryCode(rows, n)
 
 
@@ -183,7 +151,7 @@ def reed_muller(ell: int, m: int) -> BinaryCode:
 # ---------------------------------------------------------------------------
 # Cyclic families.
 
-def bch_generator_polynomial(n: int, delta: int) -> Poly2:
+def bch_generator_polynomial(n: int, delta: int) -> int:
     """Narrow-sense BCH generator: lcm of the minimal polynomials of
     gamma^1, ..., gamma^(delta-1) for the least primitive n-th root gamma."""
     if n % 2 == 0 or n < 3:

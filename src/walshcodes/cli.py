@@ -306,7 +306,7 @@ def _verify_catalog(rng, trials: int) -> list[str]:
     g24 = codes["extended_golay24"]
     _, ds31 = catalog.irreducible_cyclic(3, 1)
     checks = [
-        ("bch(15,5) generator", catalog.bch_generator_polynomial(15, 5).word == 0b111010001),
+        ("bch(15,5) generator", catalog.bch_generator_polynomial(15, 5) == 0b111010001),
         ("golay23 equals qr(23)", codes["golay23"] == catalog.quadratic_residue_code(23)),
         ("extended golay self-dual", g24 == g24.dual()),
         ("irrcyclic(3,1) is simplex up to column order", catalog.simplex(3)

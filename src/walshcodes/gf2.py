@@ -8,6 +8,10 @@ basis is a sequence of m words.  Sets of powers of one element are slices of
 ``Field.exp_table``, the uint32 array of powers of the primitive element,
 built once per field by GF(2)-linear maps.
 
+Polynomials over GF(2) are plain ints too, bit i the coefficient of x^i:
+``poly_mul``, ``poly_divmod`` and the rest act on them, and ``poly_str``
+writes one out.
+
 Also provides the trace machinery this library is built on: absolute and
 relative traces and trace-dual bases.  The coordinates of x over a basis are
 Tr(x * b_j) for the words b_j of its dual.
@@ -51,6 +55,13 @@ def poly_mul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return r
+
+
+def poly_str(p: int) -> str:
+    """p written out from its leading term down: "x^8 + x^7 + x^6 + x^4 + 1"."""
+    terms = [f"x^{i}" if i > 1 else "x" if i else "1"
+             for i in range(poly_degree(p), -1, -1) if (p >> i) & 1]
+    return " + ".join(terms) or "0"
 
 
 def poly_divmod(a: int, b: int) -> tuple[int, int]:

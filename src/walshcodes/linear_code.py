@@ -11,9 +11,11 @@ table of codeword bytes, the remaining rows are walked in Gray-code order
 with one xor offset per block, and each block's weights come from
 ``bitmat.word_weights`` (one ``np.bitwise_count`` pass over the block's bytes
 on numpy 2, a uint8 SWAR popcount on numpy 1.x) and one ``np.bincount``.
-``codewords`` keeps the scalar Gray-code walk over the echelon basis as the
-reference for that count.  The MacWilliams transform evaluates Krawtchouk
-polynomials by their exact integer three-term recurrence.  Projectivity, at any rank, sorts packed columns as ``np.void`` keys.
+The tests check that count against ``tests/reference.py::codewords``, the
+scalar Gray-code walk over the echelon basis ``rref()`` returns.  The
+MacWilliams transform evaluates Krawtchouk polynomials by their exact
+integer three-term recurrence.  Projectivity, at any rank, sorts packed
+columns as ``np.void`` keys.
 """
 
 from __future__ import annotations
@@ -80,37 +82,15 @@ class BinaryCode:
         """(pivot columns, rows) of the canonical reduced row-echelon basis."""
         return self._pivots, self._basis
 
-    # -- basic queries -----------------------------------------------------
-
-    def contains(self, word: int) -> bool:
-        if word < 0 or word >> self.n:
-            raise ValueError(f"word {word:#x} does not fit in {self.n} columns")
-        for r in self._basis:
-            if word & (r & -r):
-                word ^= r
-        return word == 0
-
-    def codewords(self):
-        """Yield all 2^k codewords (Gray-code order over the echelon basis)."""
-        self._enumeration_guard()
-        word = 0
-        yield 0
-        for i in range(1, 1 << self.k):
-            word ^= self._basis[(i & -i).bit_length() - 1]
-            yield word
-
-    def _enumeration_guard(self):
-        if self.k > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"refusing to enumerate 2^{self.k} codewords "
-                f"(limit is k <= {ENUMERATION_LIMIT}); use the transform-based paths")
-
     # -- weight distribution -------------------------------------------------
 
     def weight_distribution(self) -> dict[int, int]:
         """Exact weight distribution {weight: count} by full enumeration."""
         if self._weights is None:
-            self._enumeration_guard()
+            if self.k > ENUMERATION_LIMIT:
+                raise ValueError(
+                    f"refusing to enumerate 2^{self.k} codewords "
+                    f"(limit is k <= {ENUMERATION_LIMIT}); use the transform-based paths")
             rows = bitmat.row_bytes(self._basis, self.n)[:, :, None]
             nbytes = rows.shape[1]
             low = min(self.k, max(4, (BLOCK_BYTES // nbytes).bit_length() - 1))

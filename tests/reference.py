@@ -1,9 +1,10 @@
 """References shared by the test modules, each independent of the fast path
 it checks: the Walsh transform as the explicit character matrix times the
 sign vector, the algebraic normal form by the Moebius butterfly on one
-byte per point, the bit-transpose by one byte per bit packed down the
-strided axis, and a polynomial with given roots by multiplying out its linear
-factors."""
+byte per point and its evaluation monomial by monomial, the bit-transpose by
+one byte per bit packed down the strided axis, a code's codewords by a
+scalar Gray-code walk, and a polynomial with given roots by multiplying out
+its linear factors."""
 
 import functools
 
@@ -62,11 +63,15 @@ def moebius_by_bytes(table) -> np.ndarray:
     return a
 
 
+def evaluate_anf(monomials, x: int) -> int:
+    """The xor of the monomials (masks of variables) at the point x."""
+    return sum(1 for mask in monomials if x & mask == mask) & 1
+
+
 def degree_by_monomials(table) -> int:
     """Largest weight among the indices of the nonzero ANF coefficients."""
     return max((int(x).bit_count() for x in np.flatnonzero(moebius_by_bytes(table))),
                default=0)
-
 
 
 def transpose_bits_by_packbits(rows, width) -> np.ndarray:
@@ -75,6 +80,17 @@ def transpose_bits_by_packbits(rows, width) -> np.ndarray:
     then packed down the row axis and transposed."""
     bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
     return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+
+
+def codewords(code):
+    """Yield all 2^k codewords of a BinaryCode: a Gray-code walk over its
+    echelon basis, one Python-int xor per codeword."""
+    basis = code.rref()[1]
+    word = 0
+    yield 0
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        yield word
 
 
 def expand_roots(field: Field, roots) -> int:

@@ -8,8 +8,6 @@ from walshcodes import catalog, gf2
 from walshcodes.boolfun import BooleanFunction
 from walshcodes.cli import CATALOG_FACTS, FAMILIES
 from walshcodes.catalog import (
-    CyclotomicCoset,
-    Poly2,
     bch_code,
     bch_generator_polynomial,
     build_from_name,
@@ -29,7 +27,7 @@ from walshcodes.defining_set import (
     code_from_defining_set,
     verify_spectral_distribution,
 )
-from walshcodes.gf2 import field
+from walshcodes.gf2 import field, poly_degree, poly_divmod
 
 from reference import expand_roots
 from test_bitmat import transpose_by_loop
@@ -51,12 +49,12 @@ def eval_poly(f, word, elem):
 
 def test_cyclotomic_cosets_mod_7_and_15():
     sevens = cyclotomic_cosets(7)
-    assert [(c.leader, set(c.members)) for c in sevens] == [
+    assert [(min(c), set(c)) for c in sevens] == [
         (0, {0}),
         (1, {1, 2, 4}),
         (3, {3, 5, 6}),
     ]
-    fifteens = {c.leader: set(c.members) for c in cyclotomic_cosets(15)}
+    fifteens = {min(c): set(c) for c in cyclotomic_cosets(15)}
     assert fifteens == {
         0: {0},
         1: {1, 2, 4, 8},
@@ -69,11 +67,12 @@ def test_cyclotomic_cosets_mod_7_and_15():
 def test_cyclotomic_cosets_partition():
     for n in (9, 21, 31):
         cosets = cyclotomic_cosets(n)
-        seen = [x for c in cosets for x in c.members]
+        seen = [x for c in cosets for x in c]
         assert sorted(seen) == list(range(n))
+        leaders = [min(c) for c in cosets]
+        assert leaders == sorted(leaders)
         for c in cosets:
-            assert c.leader == min(c.members)
-            assert {(2 * x) % n for x in c.members} == set(c.members)
+            assert {(2 * x) % n for x in c} == c
 
 
 def test_cyclotomic_cosets_reject_even_modulus():
@@ -83,18 +82,18 @@ def test_cyclotomic_cosets_reject_even_modulus():
 
 def test_minimal_polynomial_fixtures():
     f = field(3)
-    assert minimal_polynomial(f, 0).word == 0b10  # x
-    assert minimal_polynomial(f, 1).word == 0b11  # x + 1
-    assert minimal_polynomial(f, 2).word == 0b1011  # the field modulus itself
+    assert minimal_polynomial(f, 0) == 0b10  # x
+    assert minimal_polynomial(f, 1) == 0b11  # x + 1
+    assert minimal_polynomial(f, 2) == 0b1011  # the field modulus itself
 
 
 def test_minimal_polynomial_properties():
     f = field(4)
     for v in range(16):
         p = minimal_polynomial(f, v)
-        assert eval_poly(f, p.word, v) == 0
-        assert 4 % p.degree == 0
-        assert gf2.is_irreducible(p.word)
+        assert eval_poly(f, p, v) == 0
+        assert 4 % poly_degree(p) == 0
+        assert gf2.is_irreducible(p)
 
 
 def test_minimal_polynomial_is_the_product_over_the_conjugates():
@@ -104,7 +103,7 @@ def test_minimal_polynomial_is_the_product_over_the_conjugates():
             conjugates = [a]
             while f.mul(conjugates[-1], conjugates[-1]) != a:
                 conjugates.append(f.mul(conjugates[-1], conjugates[-1]))
-            assert minimal_polynomial(f, a).word == expand_roots(f, conjugates), (m, a)
+            assert minimal_polynomial(f, a) == expand_roots(f, conjugates), (m, a)
 
 
 def test_minimal_polynomial_reads_its_element_as_a_field_word():
@@ -112,15 +111,6 @@ def test_minimal_polynomial_reads_its_element_as_a_field_word():
         with pytest.raises(ValueError, match="is not a word of 3 bits") as info:
             minimal_polynomial(field(3), bad)
         assert "\n" not in str(info.value)
-
-
-def test_poly2_arithmetic_and_rendering():
-    assert (Poly2(0b11) * Poly2(0b11)).word == 0b101  # (x+1)^2 = x^2 + 1
-    assert Poly2(0b11).divides(Poly2(0b101))
-    assert not Poly2(0b111).divides(Poly2(0b101))
-    assert str(Poly2(0b111010001)) == "x^8 + x^7 + x^6 + x^4 + 1"
-    assert str(Poly2(0b1)) == "1"
-    assert Poly2(0b111010001).degree == 8
 
 
 # -- the fact table ------------------------------------------------------------------
@@ -200,11 +190,18 @@ def test_reed_muller_fixtures():
 
 
 def test_bch_generator_polynomials():
-    assert bch_generator_polynomial(7, 3).word == 0b1011
-    assert bch_generator_polynomial(15, 5).word == 0b111010001
-    assert bch_generator_polynomial(15, 2).word == bch_generator_polynomial(15, 3).word
+    assert bch_generator_polynomial(7, 3) == 0b1011
+    assert bch_generator_polynomial(15, 5) == 0b111010001
+    assert bch_generator_polynomial(15, 2) == bch_generator_polynomial(15, 3)
     g = bch_generator_polynomial(31, 7)
-    assert g.divides(Poly2((1 << 31) | 1))
+    assert poly_divmod((1 << 31) | 1, g)[1] == 0
+
+
+def test_cyclic_code_names_a_generator_that_does_not_divide():
+    with pytest.raises(ValueError, match=r"^generator x\^2 \+ x \+ 1 does not divide x\^7 \+ 1$"):
+        catalog._cyclic_code(7, 0b111)
+    with pytest.raises(ValueError, match="zero generator polynomial"):
+        catalog._cyclic_code(7, 0)
 
 
 # the BCH and QR codes of the benchmark's analyze workload, besides those
@@ -224,8 +221,7 @@ NAMED_CYCLIC = sorted(
 def test_cyclic_generator_is_the_product_over_its_zero_set(name):
     n, *delta = map(int, re.findall(r"\d+", name))
     if name.startswith("bch"):  # the cosets that meet 1, ..., delta - 1
-        zeros = {e for c in cyclotomic_cosets(n) if c.members & set(range(1, delta[0]))
-                 for e in c.members}
+        zeros = {e for c in cyclotomic_cosets(n) if c & set(range(1, delta[0])) for e in c}
     else:  # the nonzero squares mod n
         zeros = {pow(i, 2, n) for i in range(1, n)}
     f = catalog._splitting_field(n)

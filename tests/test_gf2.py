@@ -21,6 +21,7 @@ from walshcodes.gf2 import (
     poly_gcd,
     poly_mod,
     poly_mul,
+    poly_str,
 )
 
 
@@ -68,6 +69,15 @@ def test_poly_gcd_divides_both_inputs():
         assert poly_mod(a, g) == 0 and poly_mod(b, g) == 0
         # any common divisor has degree at most deg(gcd): check via products
         assert poly_gcd(poly_mul(a, 0b11), poly_mul(b, 0b11)) == poly_mul(g, 0b11)
+
+
+def test_poly_str_mul_and_divmod_fixtures():
+    assert poly_mul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2 + 1
+    assert poly_divmod(0b101, 0b11) == (0b11, 0)
+    assert poly_divmod(0b101, 0b111) == (1, 0b10)
+    assert poly_str(0b111010001) == "x^8 + x^7 + x^6 + x^4 + 1"
+    assert poly_degree(0b111010001) == 8
+    assert [poly_str(p) for p in (0, 1, 0b10, 0b11, 0b100)] == ["0", "1", "x", "x + 1", "x^2"]
 
 
 def test_is_irreducible_matches_sympy():
