@@ -16,21 +16,19 @@ over each run of 8 rows.  ``word_weights`` counts the set bits of words held
 as bytes: one ``np.bitwise_count`` pass where numpy has it (2.0 and later),
 else a uint8 SWAR reduction.  ``as_ints`` and ``integers`` read the integer
 inputs of the package's constructors (rows, field elements, support points)
-without truncating floats or parsing strings; ``integers`` reads a list or
-tuple of 32-bit ints in one C pass.
+without truncating floats or parsing strings; ``integers`` returns a 1-D
+integer array and reads a list or tuple of 32-bit ints in one C pass.
 
-Every GF(2)-linear map on words goes through one kernel: ``span(images)`` is
-the table of all 2^len(images) subset xors of the images, which is the map
-applied to every word of len(images) bits, and ``linear_map`` applies a map
-of up to 32 input bits to an array of words through one ``span`` table per
-run of input bits.  The runs are near-equal and at most 14 bits long, so a
-map of up to 14 input bits (every field up to GF(2^14)) is one ``take`` from
-one table.  Those tables are built once for each distinct tuple of images
-and kept, read-only, in a bounded least-recently-used cache, so a map applied
-again (the trace form, a dual basis) costs one gather per run.  A map used
-only once builds its tables with ``span_tables`` and applies them with
-``apply_span_tables``, the gather behind ``linear_map``, so it evicts none of
-the cached maps.
+Every GF(2)-linear map on words goes through one kernel, ``linear_map``:
+``span(images)`` is the table of all 2^len(images) subset xors of the
+images, which is the map applied to every word of len(images) bits, and
+``linear_map`` applies a map of up to 32 input bits to an array of words
+through one ``span`` table per run of input bits.  The runs are near-equal
+and at most 14 bits long, so a map of up to 14 input bits (every field up to
+GF(2^14)) is one ``take`` from one table.  Those tables are built once for
+each distinct tuple of images and kept, read-only, in a bounded
+least-recently-used cache, so a map applied again (the trace form, a dual
+basis) costs one gather per run.
 """
 
 from __future__ import annotations
@@ -68,13 +66,14 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         raise
 
 
-def integers(values, what: str):
-    """values as a 1-D integer ndarray when numpy holds them in an integer
-    dtype, else as a tuple of Python ints (``as_ints``, which names the first
-    value that is not an integer as "<what> <value>").  A nonempty list or
-    tuple of ints in 0..2^32 - 1 is read into a fresh uint32 array in one C
-    pass; any other value there (a float, a string, None, a negative or wider
-    int) raises inside ``array.array`` and takes the general path."""
+def integers(values, what: str) -> np.ndarray:
+    """values as a 1-D integer ndarray: numpy's own array when it holds them
+    in an integer dtype, else the ints of ``as_ints`` (which names the first
+    value that is not an integer as "<what> <value>") in int64, or in an
+    object array when one is beyond 64 bits.  A nonempty list or tuple of ints
+    in 0..2^32 - 1 is read into a fresh uint32 array in one C pass; any other
+    value there (a float, a string, None, a negative or wider int) raises
+    inside ``array.array`` and takes the general path."""
     if isinstance(values, (list, tuple)) and values:
         try:
             return np.frombuffer(array.array("I", values), dtype=np.uintc)
@@ -88,7 +87,11 @@ def integers(values, what: str):
         arr = None
     if arr is not None and arr.dtype.kind in "iu" and arr.ndim == 1:
         return arr
-    return as_ints(values, what)
+    ints = as_ints(values, what)
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
 
 
 def rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
@@ -254,15 +257,15 @@ def _transpose_bits(rows: np.ndarray, width: int, nbytes: int = 0) -> np.ndarray
 def linear_map(images, words) -> np.ndarray:
     """The GF(2)-linear map that sends bit i to images[i], applied to every
     word; bits of a word at or above len(images) are ignored.  Both images
-    and words are at most 32 bits wide.  The ``span_tables`` of the images
+    and words are at most 32 bits wide.  The ``_span_tables`` of the images
     are built on the first call for a tuple of images and kept in the bounded
     cache of ``_run_tables``; a later call with the same images costs one
     gather per run of input bits, a single gather up to 14 bits."""
-    return apply_span_tables(_run_tables(tuple(map(int, images))), words)
+    return _apply_span_tables(_run_tables(tuple(map(int, images))), words)
 
 
-def apply_span_tables(tables, words) -> np.ndarray:
-    """The linear map whose ``span_tables`` are tables, applied to every word:
+def _apply_span_tables(tables, words) -> np.ndarray:
+    """The linear map whose ``_span_tables`` are tables, applied to every word:
     one ``take`` per table, xored into a fresh uint32 array.  Table t, of
     2^b entries, is indexed by the b bits of a word that follow the bits of
     the tables before it, masked out, so bits at or above len(images) are
@@ -286,7 +289,7 @@ def apply_span_tables(tables, words) -> np.ndarray:
 _RUN_BITS = 14
 
 
-def span_tables(images) -> tuple[np.ndarray, ...]:
+def _span_tables(images) -> tuple[np.ndarray, ...]:
     """The read-only ``span`` tables of the images split into ceil(w/14)
     near-equal runs, w = len(images), the longer runs first: one run up to
     w = 14, two of 10 bits at w = 20, runs of 11, 11 and 10 bits at w = 32.
@@ -305,7 +308,7 @@ def span_tables(images) -> tuple[np.ndarray, ...]:
 # an entry is at most 128 KiB, two tables of 2^14 uint32 at w = 28 (w = 29..32
 # take three runs of at most 11 bits, 24 KiB), so the cache holds at most
 # 128 * 128 KiB = 16 MiB
-_run_tables = lru_cache(maxsize=128)(span_tables)
+_run_tables = lru_cache(maxsize=128)(_span_tables)
 
 
 def span(images) -> np.ndarray:

@@ -35,7 +35,7 @@ import functools
 import numpy as np
 
 from . import bitmat
-from .gf2 import Field, as_field, is_hex
+from .gf2 import as_field, is_hex
 
 
 _DIGIT_BITS = 5
@@ -86,16 +86,6 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=16)
-def _trace_order(field: Field) -> np.ndarray:
-    """The uint32 table w -> T*w, ``bitmat.span(field.trace_form_rows)``:
-    W_f(w) is the natural-order coefficient at T*w.  Built the first time a
-    spectrum of the field is read in trace order."""
-    order = bitmat.span(field.trace_form_rows)
-    order.setflags(write=False)
-    return order
-
-
 # The in-word steps of the Moebius butterfly on uint64 words: spans 1..32 and,
 # for each, the bit positions that have the span's bit set.  np.uint64
 # constants keep the shifts and masks in uint64 under numpy 1.x promotion.
@@ -140,7 +130,7 @@ class BooleanFunction:
         outside the field, or one that repeats an earlier point.
         """
         field = as_field(field)
-        points = np.asarray(bitmat.integers(support, "support point"))
+        points = bitmat.integers(support, "support point")
         outside = (points < 0) | (points >= field.order)
         stop = int(np.argmax(outside)) if outside.any() else points.size
         inside = points[:stop].astype(np.int64)
@@ -342,7 +332,8 @@ class WalshSpectrum:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        values = self._natural[_trace_order(self.field)].astype(np.int64)
+        # W_f(w) is the natural-order coefficient at T*w
+        values = self._natural[bitmat.span(self.field.trace_form_rows)].astype(np.int64)
         values.setflags(write=False)
         return values
 

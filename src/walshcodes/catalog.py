@@ -131,11 +131,10 @@ def reed_muller(ell: int, m: int) -> BinaryCode:
         raise ValueError(f"reed_muller needs 1 <= ell < m <= 12, got ell={ell}, m={m}")
     n = 1 << m
     var = bitmat.rows_of(np.arange(n, dtype=np.uint32), m)  # bit j of x_i is bit i of j
-    masks = sorted(range(n), key=lambda s: (s.bit_count(), s))
+    # by degree, then by value: sorted is stable and range ascends
+    masks = sorted((s for s in range(n) if s.bit_count() <= ell), key=int.bit_count)
     rows = []
     for s in masks:
-        if s.bit_count() > ell:
-            continue
         row = (1 << n) - 1
         for i in range(m):
             if (s >> i) & 1:

@@ -61,8 +61,6 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(out, text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _read_matrix_file(path: str) -> BinaryCode:

@@ -25,7 +25,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +50,10 @@ class DefiningSet:
     of the generated code.
 
     The elements are one read-only uint32 array, ``array``, which the set
-    owns: an input array is copied, never aliased.  A list or tuple of ints
-    below 2^32 is read in one C pass (``bitmat.integers``) and checked with
-    one max; any other input is read and checked as before, with the same
-    error texts.  ``values`` is the same sequence as a tuple of Python ints,
-    built on first read."""
+    owns: an input array is copied, never aliased.  Every input is read by
+    ``bitmat.integers``, a list or tuple of ints below 2^32 in one C pass, and
+    checked with one max, and one min unless it is unsigned.  ``values`` is
+    the same sequence as a tuple of Python ints, built on first read."""
 
     def __init__(self, field, elements):
         self.field = as_field(field)
@@ -62,23 +61,18 @@ class DefiningSet:
         ints = bitmat.integers(elements, "element")
         if not len(ints):
             raise ValueError("defining set must contain at least one element")
-        if isinstance(ints, np.ndarray):
-            # unsigned input, a list read by bitmat.integers among it, needs one max
-            if ints.max() >= order or (ints.dtype.kind == "i" and ints.min() < 0):
-                outside = (ints < 0) | (ints >= order)
-                raise ValueError(f"element {int(ints[np.argmax(outside)])} "
-                                 f"outside GF(2^{self.field.m})")
-        elif min(ints) < 0 or max(ints) >= order:
-            v = next(v for v in ints if not 0 <= v < order)
-            raise ValueError(f"element {v} outside GF(2^{self.field.m})")
+        # unsigned input, a list read by bitmat.integers among it, needs one max
+        if ints.max() >= order or (ints.dtype.kind != "u" and ints.min() < 0):
+            outside = (ints < 0) | (ints >= order)
+            raise ValueError(f"element {int(ints[np.argmax(outside)])} "
+                             f"outside GF(2^{self.field.m})")
         self.array = np.array(ints, dtype=np.uint32)
         self.array.setflags(write=False)
 
     @staticmethod
     def from_support(field, support) -> "DefiningSet":
         """Canonical defining set of a support: ascending integer order."""
-        ints = bitmat.integers(support, "element")
-        return DefiningSet(field, np.sort(ints) if isinstance(ints, np.ndarray) else sorted(ints))
+        return DefiningSet(field, np.sort(bitmat.integers(support, "element")))
 
     @cached_property
     def values(self) -> tuple[int, ...]:
@@ -141,13 +135,6 @@ def codeword_weight(ds: DefiningSet, x) -> int:
     return sum(f.trace(f.mul(x, v)) for v in ds.array.tolist())
 
 
-@lru_cache(maxsize=128)
-def _basis_columns(basis: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """The column words of the m-bit basis words, the images of the
-    self-check's last map; a basis is transposed once, not on every extraction."""
-    return tuple(bitmat.columns(basis, m).tolist())
-
-
 def extract_defining_set(code: BinaryCode, field: Field | None = None,
                          basis=None) -> DefiningSet:
     """Invert the construction: read d_j = sum_i G[i][j] * beta_i off the
@@ -156,10 +143,12 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
 
     The resulting defining set keeps the code's column order, so rebuilding
     reproduces the code coordinate-for-coordinate.  The extraction and its
-    self-check, which rebuilds every entry G[i][j] = Tr(b_i * d_j), are
+    self-check, which rebuilds every entry G[i][j] = Tr(b_i * d_j), are two
     GF(2)-linear maps on the column words of G: O(n) numpy work on top of the
-    k-row ``rref`` the code already holds.  The check compares the rebuilt
-    column words with those of G, which is as strict as comparing rows.
+    k-row ``rref`` the code already holds.  The check sends alpha^l to the
+    bits Tr(b_i * alpha^l) = parity(b_i & T*alpha^l): the trace-form rows
+    themselves for the polynomial basis.  It compares the rebuilt column words
+    with those of G, which is as strict as comparing rows.
     """
     if code.k == 0:
         raise ValueError("the zero code has no defining set")
@@ -167,18 +156,15 @@ def extract_defining_set(code: BinaryCode, field: Field | None = None,
     if fld.m != code.k:
         raise ValueError(f"extraction field must have degree k={code.k}, got m={fld.m}")
     if basis is None:
-        basis, beta = fld.polynomial_basis, fld.dual_polynomial_basis
+        beta, check = fld.dual_polynomial_basis, fld.trace_form_rows
     else:
         basis = [fld.element(w) for w in basis]
         beta = fld.dual_basis(basis)
+        check = bitmat.linear_map(bitmat.columns(basis, fld.m), fld.trace_form_rows)
     _, gen = code.rref()
     cols = bitmat.columns(gen, code.n)
     vals = bitmat.linear_map(beta, cols)
-    # Tr(b_i * v) = parity(b_i & tc(v)), tc the trace coordinates: a linear
-    # map of tc(v) whose images are the transposed basis words
-    coords = bitmat.linear_map(fld.trace_form_rows, vals)
-    rebuilt = bitmat.linear_map(_basis_columns(tuple(basis), fld.m), coords)
-    if not np.array_equal(rebuilt, cols):
+    if not np.array_equal(bitmat.linear_map(check, vals), cols):
         raise AssertionError("extraction failed to reproduce the generator row")
     return DefiningSet(fld, vals)
 
@@ -236,14 +222,6 @@ class SpectralWeightReport:
     e: int
     dimension: int
     weights: dict[int, int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_f": self.n_f,
-            "e": self.e,
-            "dimension": self.dimension,
-            "weights": {str(w): c for w, c in sorted(self.weights.items())},
-        }
 
 
 _SIGN_AND_LOW_BITS = np.int64(-(1 << 63) | 3)

@@ -307,29 +307,23 @@ class Field:
     def exp_table(self) -> np.ndarray:
         """Read-only uint32 array of length 2^m - 1 whose entry i is g^i, g the
         primitive element.  Built by doubling: multiplying by c = g^len is
-        GF(2)-linear, so the next len powers are the ones held so far under the
-        linear map with images c * alpha^i.  Each c is used once, so its span
-        tables are built outside ``bitmat.linear_map``'s cache."""
+        GF(2)-linear, so the next len powers are the ones held so far under
+        ``bitmat.linear_map`` with images c * alpha^i."""
         g = self.primitive_element
         table = np.ones(1, dtype=np.uint32)
         while len(table) < self.order - 1:
             c = self.mul(int(table[-1]), g)
             images = [self.mul(c, 1 << i) for i in range(self.m)]
             rest = table[:self.order - 1 - len(table)]
-            table = np.concatenate([table, bitmat.apply_span_tables(
-                bitmat.span_tables(images), rest)])
+            table = np.concatenate([table, bitmat.linear_map(images, rest)])
         table.setflags(write=False)
         return table
 
-    # per-instance caches of element_of_order and subfield, made on first
-    # use: a cache on the class would keep every field it saw alive
+    # a per-instance cache of element_of_order, made on first use: a cache on
+    # the class would keep every field it saw alive
 
     @cached_property
     def _elements_of_order(self) -> dict[int, int]:
-        return {}
-
-    @cached_property
-    def _subfields(self) -> dict[int, "SubfieldEmbedding"]:
         return {}
 
     def element_of_order(self, n: int) -> int:
@@ -349,10 +343,7 @@ class Field:
     # -- subfields ---------------------------------------------------------
 
     def subfield(self, h: int) -> "SubfieldEmbedding":
-        h = self._subfield_degree(h)
-        if h not in self._subfields:
-            self._subfields[h] = SubfieldEmbedding(self, h)
-        return self._subfields[h]
+        return SubfieldEmbedding(self, self._subfield_degree(h))
 
     # -- bases -----------------------------------------------------------------
 

@@ -45,7 +45,6 @@ class BinaryCode:
         self._basis = tuple(reduced)
         self.k = len(self._basis)
         self._weights = None
-        self._defect = None  # why the code is not projective ("" if it is), once checked
 
     # -- construction ----------------------------------------------------
 
@@ -128,16 +127,27 @@ class BinaryCode:
     def is_projective(self) -> bool:
         """True when the canonical generator columns are pairwise distinct and
         nonzero, i.e. the dual code has minimum distance at least 3."""
-        if self.k == 0:
-            raise ValueError("projectivity of the zero code is undefined")
-        if self._defect is None:
-            self._defect = _column_defect(bitmat.packed_columns(self._basis, self.n))
-        return not self._defect
+        return self.projectivity_defect() == "code is projective"
 
     def projectivity_defect(self) -> str:
         """The first zero canonical generator column or the first one that
-        repeats an earlier column, or "code is projective"."""
-        return "code is projective" if self.is_projective() else self._defect
+        repeats an earlier column, or "code is projective".  The rows of
+        ``bitmat.packed_columns`` are the columns, each one ``np.void`` key to
+        a 1-D ``np.unique``."""
+        if self.k == 0:
+            raise ValueError("projectivity of the zero code is undefined")
+        cols = bitmat.packed_columns(self._basis, self.n)
+        zero = np.flatnonzero(~cols.any(axis=1))
+        if zero.size:
+            return f"generator column {zero[0]} is zero"
+        keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first_seen = first[inverse]
+        repeats = np.flatnonzero(first_seen != np.arange(len(cols)))
+        if repeats.size:
+            j = repeats[0]
+            return f"generator columns {first_seen[j]} and {j} are identical"
+        return "code is projective"
 
     def __eq__(self, other):
         return (isinstance(other, BinaryCode)
@@ -148,23 +158,6 @@ class BinaryCode:
 
     def __repr__(self):
         return f"BinaryCode(n={self.n}, k={self.k})"
-
-
-def _column_defect(cols: np.ndarray) -> str:
-    """Which column is the first zero one, or failing that the first that
-    repeats an earlier one; "" when there is neither.  cols are the rows of
-    ``bitmat.packed_columns``, each one ``np.void`` key to a 1-D ``np.unique``."""
-    zero = np.flatnonzero(~cols.any(axis=1))
-    if zero.size:
-        return f"generator column {zero[0]} is zero"
-    keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    first_seen = first[inverse]
-    repeats = np.flatnonzero(first_seen != np.arange(len(cols)))
-    if repeats.size:
-        j = repeats[0]
-        return f"generator columns {first_seen[j]} and {j} are identical"
-    return ""
 
 
 def krawtchouk(n: int, i: int) -> list[int]:

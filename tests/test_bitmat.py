@@ -391,7 +391,7 @@ def test_linear_map_matches_bit_by_bit_xor():
         if w < 32:  # low words with one bit set above the images
             words += [v | 1 << rng.randrange(w, 32) for v in random_rows(rng, 4, w)]
         want = linear_map_by_bits(images, words)
-        got = bitmat.apply_span_tables(bitmat.span_tables(images), words)
+        got = bitmat._apply_span_tables(bitmat._span_tables(images), words)
         assert got.dtype == np.uint32 and got.tolist() == want, w
         for given_images in (images, tuple(images), np.array(images, dtype=np.uint32)):
             got = bitmat.linear_map(given_images, words)
@@ -400,10 +400,10 @@ def test_linear_map_matches_bit_by_bit_xor():
 
 def test_span_tables_split_the_images_into_near_equal_runs_of_at_most_14():
     for w in range(33):
-        runs = [len(t).bit_length() - 1 for t in bitmat.span_tables(list(range(w)))]
+        runs = [len(t).bit_length() - 1 for t in bitmat._span_tables(list(range(w)))]
         assert len(runs) == -(-w // 14) and sum(runs) == w, (w, runs)
         assert runs == sorted(runs, reverse=True) and (not runs or runs[0] - runs[-1] <= 1)
-    assert [[len(t).bit_length() - 1 for t in bitmat.span_tables(list(range(w)))]
+    assert [[len(t).bit_length() - 1 for t in bitmat._span_tables(list(range(w)))]
             for w in (13, 14, 20, 32)] == [[13], [14], [10, 10], [11, 11, 10]]
 
 
@@ -453,3 +453,17 @@ def test_linear_map_with_no_images_is_zero():
         assert got.dtype == np.uint32 and got.tolist() == [0, 0, 0]
         got[0] = 1  # a fresh array, not a shared one
     assert bitmat.linear_map([], words).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("values,dtype,want", [
+    ([], np.int64, []),
+    ((), np.int64, []),
+    (np.array([True, False]), np.int64, [1, 0]),
+    ([-1, 2**63], object, [-1, 2**63]),
+    ([2**70, 1], object, [2**70, 1]),
+], ids=["empty-list", "empty-tuple", "bool-array", "beyond-int64", "beyond-64-bits"])
+def test_integers_returns_one_1d_integer_array(values, dtype, want):
+    # the inputs that no list-of-uint32 or numpy integer array covers
+    got = bitmat.integers(values, "value")
+    assert isinstance(got, np.ndarray) and got.ndim == 1 and got.dtype == dtype
+    assert got.tolist() == want

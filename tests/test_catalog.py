@@ -186,6 +186,18 @@ def test_reed_muller_fixtures():
         reed_muller(0, 3)
 
 
+def test_reed_muller_rows_are_the_monomials_by_degree_then_value():
+    # row order as the sort of all 2^m masks by (degree, value) gives it; the
+    # row of monomial s is 1 at the points x with every variable of s set
+    for m in range(2, 9):
+        n = 1 << m
+        order = sorted(range(n), key=lambda s: (s.bit_count(), s))
+        for ell in range(1, m):
+            want = [sum(1 << x for x in range(n) if x & s == s)
+                    for s in order if s.bit_count() <= ell]
+            assert list(reed_muller(ell, m).rows) == want, (ell, m)
+
+
 # -- cyclic families -----------------------------------------------------------------
 
 

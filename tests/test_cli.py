@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from walshcodes import boolfun, catalog
-from walshcodes.boolfun import BooleanFunction
+from walshcodes import catalog
+from walshcodes.boolfun import BooleanFunction, WalshSpectrum
 from walshcodes.cli import _build_parser, analyze_report, main
 from walshcodes.linear_code import BinaryCode
 
@@ -391,11 +391,11 @@ def test_analyze_reports_of_wide_and_non_projective_codes_match_the_golden_diges
 
 def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch):
     # up to the field cap the verdict and f come from extract_with_function;
-    # is_projective runs only above the cap and to name a bad column
+    # the column check runs only above the cap and to name a bad column
     calls = []
-    is_projective = BinaryCode.is_projective
-    monkeypatch.setattr(BinaryCode, "is_projective",
-                        lambda self: calls.append(self.k) or is_projective(self))
+    projectivity_defect = BinaryCode.projectivity_defect
+    monkeypatch.setattr(BinaryCode, "projectivity_defect",
+                        lambda self: calls.append(self.k) or projectivity_defect(self))
 
     def forbidden(*args):
         raise AssertionError("from_support is not on the report's route")
@@ -415,10 +415,10 @@ def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch)
 def test_analyze_report_never_builds_the_trace_ordered_spectrum(monkeypatch):
     # the histogram, classification, nonlinearity and spectral weights are
     # all read off the one count of the natural-order transform
-    def forbidden(field):
+    def forbidden(spec):
         raise AssertionError("the trace-ordered spectrum was built")
 
-    monkeypatch.setattr(boolfun, "_trace_order", forbidden)
+    monkeypatch.setattr(WalshSpectrum, "values", property(forbidden))
     spec = "irrcyclic:m=14,n=3"
     report, ok = analyze_report(catalog.build_from_name(spec), spec, 14)
     assert ok and report["projective"] is True and report["boolean_function"]["m"] == 14

@@ -419,6 +419,25 @@ def test_extract_self_check_rejects_a_wrong_dual_basis():
     assert code_from_defining_set(extract_defining_set(code, field=field(3))) == code
 
 
+def test_extract_self_check_with_a_given_basis():
+    # the check of a given basis b is one map, v -> (Tr(b_i * v))_i; a forged
+    # dual basis (b itself, which is not self-dual) must fail it
+    basis = [1, 3, 7]
+    code = code_from_defining_set(DefiningSet.from_support(field(3), range(1, 8)))
+    fld = Field(3)  # fresh, so the forged method stays local to the test
+    assert fld.dual_basis(basis) != tuple(basis)
+    fld.dual_basis = lambda words: tuple(words)
+    with pytest.raises(AssertionError,
+                       match="^extraction failed to reproduce the generator row$"):
+        extract_defining_set(code, field=fld, basis=basis)
+    f = field(3)
+    ext = extract_defining_set(code, field=f, basis=basis)
+    gen = code.rref()[1]
+    assert [[f.trace(f.mul(b, d)) for d in ext.values] for b in basis] == \
+        [[(row >> j) & 1 for j in range(code.n)] for row in gen]
+    assert code_from_defining_set(ext) == code
+
+
 def test_extract_defining_set_stops_after_the_self_check(monkeypatch):
     # only extract_with_function scatters the values into a truth table
     code = code_from_defining_set(DefiningSet.from_support(field(4), range(1, 16)))
@@ -660,12 +679,6 @@ def test_spectral_report_random_consistency():
 def test_spectral_report_rejects_empty_support():
     with pytest.raises(ValueError):
         spectral_weight_distribution(BooleanFunction(field(3), [0] * 8))
-
-
-def test_spectral_report_json_shape():
-    fn = BooleanFunction.from_support(field(2), [1, 2, 3])
-    d = spectral_weight_distribution(fn).to_json_dict()
-    assert d == {"n_f": 3, "e": 1, "dimension": 2, "weights": {"0": 1, "2": 3}}
 
 
 @st.composite

@@ -336,7 +336,6 @@ def column_codes(draw):
 def test_is_projective_equals_the_transpose_definition(code):
     expected, defect = projectivity_by_transpose(code)
     assert code.is_projective() is expected
-    assert code.is_projective() is expected  # again, from the cached result
     assert code.projectivity_defect() == defect
 
 
