@@ -31,7 +31,7 @@ from .defining_set import (DefiningSet, NotProjectiveError, bivariate_view,
                            extract_with_function, spectral_weight_distribution,
                            verify_spectral_distribution)
 from .gf2 import MAX_M, field as get_field
-from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
+from .linear_code import (ENUMERATION_LIMIT, BinaryCode, column_defect,
                           random_spanning_rows)
 
 
@@ -75,9 +75,12 @@ def _read_matrix_file(path: str) -> BinaryCode:
     if not lines:
         raise UsageError(f"matrix file {path} is empty")
     try:
-        return BinaryCode.from_rows(lines)
+        code = BinaryCode.from_rows(lines)
     except ValueError as exc:
         raise UsageError(f"bad matrix file {path}: {exc}") from exc
+    if code.k == 0:
+        raise UsageError("matrix has rank 0: the zero code has no defining set")
+    return code
 
 
 def _resolve_code(spec: str) -> BinaryCode:
@@ -98,11 +101,14 @@ def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool
     """The full analysis record for one code and whether both weight routes agree
     (vacuously true when a route is skipped).
 
+    The brute-force distribution is ``BinaryCode.enumerated_distribution``:
+    the code's own, its dual's through MacWilliams (with a note), or none.
     For k <= ``MAX_M`` the defining set, the projectivity verdict and the
     Boolean function all come from one ``extract_with_function``: a scatter
-    of the extracted values into f's truth table.  Above the field cap only
-    ``BinaryCode.is_projective`` is reported.  A non-projective code's error
-    text names its first bad column through ``NotProjectiveError.of``."""
+    of the extracted values into f's truth table.  A non-projective code's
+    error text names its first bad column: ``column_defect`` of the extracted
+    values, one per column, so the columns are not read a second time.  Above
+    the field cap only ``BinaryCode.is_projective`` is reported."""
     report: dict = {
         "code": label,
         "parameters": {"n": code.n, "k": code.k, "d": None},
@@ -113,14 +119,12 @@ def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool
                                 "verdict": "SKIPPED"},
         "notes": [],
     }
-    if code.k > max_k and code.n - code.k > max_k:
+    route = code.enumerated_distribution(max_k)
+    if route is None:
         report["notes"].append(f"enumeration skipped: k={code.k} above guard {max_k}")
     else:
-        if code.k <= max_k:
-            dist = code.weight_distribution()
-        else:
-            dist = macwilliams_transform(code.dual().weight_distribution(),
-                                         code.n, code.n - code.k)
+        dist, from_dual = route
+        if from_dual:
             report["notes"].append("distribution computed from the dual (k above guard)")
         report["parameters"]["d"] = min((w for w in dist if w), default=None)
         report["weight_distribution"]["bruteforce"] = \
@@ -136,7 +140,8 @@ def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool
     report["defining_set"] = ds.to_json_dict()
 
     if f is None:
-        report["boolean_function"] = {"error": str(NotProjectiveError.of(code))}
+        report["boolean_function"] = {
+            "error": str(NotProjectiveError.of(column_defect(ds.array)))}
         return report, True
 
     spec = f.walsh_transform()
@@ -186,8 +191,6 @@ def _report_to_csv(report: dict) -> str:
 
 def cmd_analyze(args) -> int:
     code = _resolve_code(args.code_spec)
-    if code.k == 0:
-        raise UsageError("matrix has rank 0: the zero code has no defining set")
     report, ok = analyze_report(code, args.code_spec, args.max_k)
     if args.format == "csv":
         _emit(_report_to_csv(report), args.out)
@@ -225,8 +228,6 @@ def cmd_build(args) -> int:
 
 def cmd_extract(args) -> int:
     code = _read_matrix_file(args.matrix)
-    if code.k == 0:
-        raise UsageError("matrix has rank 0: the zero code has no defining set")
     if code.k > MAX_M:
         raise UsageError(f"rank {code.k} exceeds the field cap {MAX_M}")
     ds = extract_defining_set(code)
@@ -315,20 +316,22 @@ def _verify_catalog(rng, trials: int) -> list[str]:
     for name in ("simplex:k=4", "macdonald:k=4", "hamming:m=4", "rm:l=1,m=4",
                  "bch:n=15,d=5", "qr:n=17", "golay23"):
         c = codes[name]
-        if c.n - c.k <= ENUMERATION_LIMIT:
-            checks.append((f"{name} projectivity vs dual distance", c.is_projective()
-                           == (c.n > c.k and c.dual().minimum_distance() >= 3)))
+        checks.append((f"{name} projectivity vs dual distance", c.is_projective()
+                       == (c.n > c.k and c.dual().minimum_distance() >= 3)))
     return failures + [name for name, ok in checks if not ok]
+
+
+# suite name -> (default trial count, runner); the parser's choices, in order
+SUITES = {"roundtrip": (500, _verify_roundtrip), "theorem3": (1000, _verify_theorem3),
+          "bivariate": (100, _verify_bivariate), "catalog": (1, _verify_catalog)}
 
 
 def cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
-    defaults = {"roundtrip": 500, "theorem3": 1000, "bivariate": 100, "catalog": 1}
-    trials = args.trials if args.trials is not None else defaults[args.suite]
-    runner = {"roundtrip": _verify_roundtrip, "theorem3": _verify_theorem3,
-              "bivariate": _verify_bivariate, "catalog": _verify_catalog}[args.suite]
+    default, runner = SUITES[args.suite]
+    trials = args.trials if args.trials is not None else default
     failures = runner(rng, trials)
     for f in failures:
         print(f"FAIL {args.suite}: {f}")
@@ -430,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("roundtrip", "theorem3", "bivariate", "catalog"))
+    p.add_argument("suite", choices=tuple(SUITES))
     add_flags(p, "--seed", "--trials")
     p.set_defaults(func=cmd_verify)
 

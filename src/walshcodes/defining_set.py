@@ -19,7 +19,9 @@ extract and rebuild never convert the elements to Python ints; the tuple
 stops after its self-check.  ``extract_with_function`` also yields f: one
 scatter of the extracted elements into a 2^k-entry table decides
 projectivity (no 0, no repeat) and, for a projective code, is f's truth
-table.
+table.  Extraction keeps one value per column and is injective on columns,
+so the extracted array is also the key array from which
+``linear_code.column_defect`` names a non-projective code's first bad column.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ class NotProjectiveError(ValueError):
     a zero or repeated generator column."""
 
     @classmethod
-    def of(cls, code: BinaryCode) -> "NotProjectiveError":
-        """The error for a non-projective code, naming its first bad column."""
-        return cls(f"cannot attach a Boolean function: {code.projectivity_defect()}")
+    def of(cls, defect: str) -> "NotProjectiveError":
+        """The error for a non-projective code, from the text that names its
+        first bad column (``linear_code.column_defect``)."""
+        return cls(f"cannot attach a Boolean function: {defect}")
 
 
 class DefiningSet:
@@ -179,7 +182,9 @@ def extract_with_function(code: BinaryCode, field: Field | None = None, basis=No
     G[:, j] -> d_j is GF(2)-linear and the self-check rebuilds every column
     from its value.  So a zero column gives d_j = 0 and two equal columns give
     equal values, and the code is projective exactly when the table has no 1
-    at 0 and n ones in all; the table is then f.
+    at 0 and n ones in all; the table is then f.  For the same reason
+    ``linear_code.column_defect(ds.array)`` names the same bad column as
+    ``BinaryCode.projectivity_defect``, with no second read of the columns.
     """
     ds = extract_defining_set(code, field, basis)
     table = np.zeros(ds.field.order, dtype=np.uint8)
@@ -194,19 +199,15 @@ def boolean_from_code(code: BinaryCode, field: Field | None = None,
     """The characteristic function of the extracted defining set (the code
     must be projective so that the set has distinct nonzero elements).
 
-    Projectivity is settled before any error of the extraction itself (a
-    rank above the field cap, a field or basis that does not fit): a
-    non-projective code raises ``NotProjectiveError``, and the zero code the
-    ValueError of ``BinaryCode.is_projective``."""
-    try:
-        _, fn = extract_with_function(code, field, basis)
-    except ValueError:
-        if not code.is_projective():  # the zero code raises here
-            raise NotProjectiveError.of(code) from None
-        raise
-    if fn is None:
-        raise NotProjectiveError.of(code)
-    return fn
+    Projectivity is read first, off ``BinaryCode.projectivity_defect``, so it
+    is settled before any error of the extraction itself (a rank above the
+    field cap, a field or basis that does not fit): a non-projective code
+    raises ``NotProjectiveError`` and the zero code the ValueError of
+    ``projectivity_defect``.  A projective code's f is then the extraction's."""
+    defect = code.projectivity_defect()  # the zero code raises here
+    if defect != "code is projective":
+        raise NotProjectiveError.of(defect)
+    return extract_with_function(code, field, basis)[1]
 
 
 @dataclass(frozen=True)

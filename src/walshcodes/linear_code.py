@@ -14,8 +14,15 @@ on numpy 2, a uint8 SWAR popcount on numpy 1.x) and one ``np.bincount``.
 The tests check that count against ``tests/reference.py::codewords``, the
 scalar Gray-code walk over the echelon basis ``rref()`` returns.  The
 MacWilliams transform evaluates Krawtchouk polynomials by their exact
-integer three-term recurrence.  Projectivity, at any rank, sorts packed
-columns as ``np.void`` keys.
+integer three-term recurrence, and ``enumerated_distribution`` is the one
+place that chooses between enumerating the code, enumerating its dual, and
+neither.
+
+A code is projective when its generator columns are nonzero and pairwise
+distinct; ``column_defect`` states that rule once, over one key per column.
+``projectivity_defect`` applies it to the packed columns as ``np.void`` keys,
+a sort that the ``analyze`` report needs only above the field cap: below it
+the extracted defining set, one value per column, serves as the keys.
 """
 
 from __future__ import annotations
@@ -106,18 +113,26 @@ class BinaryCode:
             self._weights = {w: c for w, c in enumerate(counts.tolist()) if c}
         return dict(self._weights)
 
+    def enumerated_distribution(self, max_k: int = ENUMERATION_LIMIT):
+        """(distribution, from_dual): the exact weight distribution by
+        enumerating the code when k <= max_k (from_dual False), else through
+        ``macwilliams_transform`` of the dual's when n - k <= max_k (from_dual
+        True); None when both sides exceed max_k."""
+        if self.k <= max_k:
+            return self.weight_distribution(), False
+        if self.n - self.k <= max_k:
+            return macwilliams_transform(self.dual().weight_distribution(),
+                                         self.n, self.n - self.k), True
+        return None
+
     def minimum_distance(self) -> int:
         """Least nonzero codeword weight; falls back to the dual side when k is large."""
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
-        if self.k <= ENUMERATION_LIMIT:
-            dist = self.weight_distribution()
-        elif self.n - self.k <= ENUMERATION_LIMIT:
-            dist = macwilliams_transform(self.dual().weight_distribution(),
-                                         self.n, self.n - self.k)
-        else:
+        route = self.enumerated_distribution()
+        if route is None:
             raise ValueError("both the code and its dual exceed the enumeration limit")
-        return min(w for w in dist if w > 0)
+        return min(w for w in route[0] if w > 0)
 
     # -- duality -------------------------------------------------------------
 
@@ -131,23 +146,12 @@ class BinaryCode:
 
     def projectivity_defect(self) -> str:
         """The first zero canonical generator column or the first one that
-        repeats an earlier column, or "code is projective".  The rows of
-        ``bitmat.packed_columns`` are the columns, each one ``np.void`` key to
-        a 1-D ``np.unique``."""
+        repeats an earlier column, or "code is projective": ``column_defect``
+        of the rows of ``bitmat.packed_columns``, each one ``np.void`` key."""
         if self.k == 0:
             raise ValueError("projectivity of the zero code is undefined")
         cols = bitmat.packed_columns(self._basis, self.n)
-        zero = np.flatnonzero(~cols.any(axis=1))
-        if zero.size:
-            return f"generator column {zero[0]} is zero"
-        keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        first_seen = first[inverse]
-        repeats = np.flatnonzero(first_seen != np.arange(len(cols)))
-        if repeats.size:
-            j = repeats[0]
-            return f"generator columns {first_seen[j]} and {j} are identical"
-        return "code is projective"
+        return column_defect(cols.view(np.dtype((np.void, cols.shape[1]))).ravel())
 
     def __eq__(self, other):
         return (isinstance(other, BinaryCode)
@@ -158,6 +162,24 @@ class BinaryCode:
 
     def __repr__(self):
         return f"BinaryCode(n={self.n}, k={self.k})"
+
+
+def column_defect(keys: np.ndarray) -> str:
+    """The projectivity text of a code whose column j has the 1-D key
+    keys[j], equal keys for equal columns and the zero key for a zero column:
+    "generator column j is zero" for the first zero column, else "generator
+    columns i and j are identical" for the first column j that repeats an
+    earlier column i, else "code is projective"."""
+    zero = np.flatnonzero(keys == np.zeros(1, keys.dtype))
+    if zero.size:
+        return f"generator column {zero[0]} is zero"
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first_seen = first[inverse]
+    repeats = np.flatnonzero(first_seen != np.arange(len(keys)))
+    if repeats.size:
+        j = repeats[0]
+        return f"generator columns {first_seen[j]} and {j} are identical"
+    return "code is projective"
 
 
 def krawtchouk(n: int, i: int) -> list[int]:

@@ -390,8 +390,8 @@ def test_analyze_reports_of_wide_and_non_projective_codes_match_the_golden_diges
 
 
 def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch):
-    # up to the field cap the verdict and f come from extract_with_function;
-    # the column check runs only above the cap and to name a bad column
+    # up to the field cap the verdict, f and the bad column's name all come
+    # from extract_with_function; the packed-column check runs only above it
     calls = []
     projectivity_defect = BinaryCode.projectivity_defect
     monkeypatch.setattr(BinaryCode, "projectivity_defect",
@@ -403,7 +403,7 @@ def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch)
     monkeypatch.setattr(BooleanFunction, "from_support", staticmethod(forbidden))
     for spec, k, projective, checks in (("simplex:k=4", 4, True, 0), ("golay23", 12, True, 0),
                                         ("bch:n=63,d=17", 18, True, 0),
-                                        ("bch:n=21,d=9", 4, False, 1),
+                                        ("bch:n=21,d=9", 4, False, 0),
                                         ("hamming:m=6", 57, True, 1)):
         calls.clear()
         report, ok = analyze_report(catalog.build_from_name(spec), spec, 24)

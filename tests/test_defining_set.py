@@ -23,7 +23,7 @@ from walshcodes.defining_set import (
     verify_spectral_distribution,
 )
 from walshcodes.gf2 import Field, field, is_irreducible
-from walshcodes.linear_code import BinaryCode
+from walshcodes.linear_code import BinaryCode, column_defect
 from walshcodes import bitmat, defining_set
 
 from test_bitmat import transpose_by_loop
@@ -583,6 +583,15 @@ def test_the_extraction_scatter_reads_projectivity_and_the_function(matrix, data
         with pytest.raises(NotProjectiveError,
                            match=f"^{re.escape('cannot attach a Boolean function: ' + defect)}$"):
             boolean_from_code(code, field=fld)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(generator_matrices())
+def test_the_extracted_values_name_the_same_bad_column(matrix):
+    # extraction is injective on columns, so the defect read off the extracted
+    # values, one per column, is the one the packed-column sort finds
+    code = BinaryCode(*matrix)
+    assert column_defect(extract_defining_set(code).array) == code.projectivity_defect()
 
 
 def test_boolean_from_code_round_trip_up_to_column_order():

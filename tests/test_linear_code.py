@@ -157,6 +157,24 @@ def test_minimum_distance_uses_dual_side_when_k_is_large():
     assert full.minimum_distance() == 1
 
 
+def test_enumerated_distribution_picks_the_side_that_fits():
+    simplex = catalog.simplex(4)  # k = 4: enumerated directly
+    dist, from_dual = simplex.enumerated_distribution(ENUMERATION_LIMIT)
+    assert not from_dual and dist == {0: 1, 8: 15}
+    assert min(w for w in dist if w) == simplex.minimum_distance()
+    hamming = catalog.hamming(5)  # k = 26 above the limit, n - k = 5: through the dual
+    dist, from_dual = hamming.enumerated_distribution(ENUMERATION_LIMIT)
+    assert from_dual and sum(dist.values()) == 1 << 26 and dist[3] == 31 * 30 // 6
+    assert min(w for w in dist if w) == hamming.minimum_distance() == 3
+    # hamming(4) is [15, 11]: both sides fit at max_k = 11, only the dual at 4
+    small = catalog.hamming(4)
+    direct, via_dual = small.enumerated_distribution(11), small.enumerated_distribution(4)
+    assert (direct[1], via_dual[1]) == (False, True) and direct[0] == via_dual[0]
+    # neither side fits
+    assert simplex.enumerated_distribution(3) is None
+    assert hamming.enumerated_distribution(4) is None
+
+
 def test_enumeration_guard_blocks_oversized_codes():
     n = ENUMERATION_LIMIT + 6
     code = BinaryCode([1 << i for i in range(ENUMERATION_LIMIT + 1)], n)
