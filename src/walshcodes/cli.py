@@ -216,13 +216,8 @@ def cmd_build(args) -> int:
         print("warning: defining set is a multiset (repeated coordinates)",
               file=sys.stderr)
     code = code_from_defining_set(ds)
-    text = "\n".join(code.to_strings()) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        print(f"[n, k] = [{code.n}, {code.k}]")
-    else:
-        sys.stdout.write(text)
-        print(f"[n, k] = [{code.n}, {code.k}]", file=sys.stderr)
+    _emit("\n".join(code.to_strings()) + "\n", args.out)
+    print(f"[n, k] = [{code.n}, {code.k}]", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -142,6 +142,15 @@ def is_hex(s) -> bool:
     return isinstance(s, str) and _HEX_DIGITS.fullmatch(s) is not None
 
 
+def _integer(value, label: str) -> int:
+    """value read through ``operator.index``, which admits Python and numpy
+    integers and nothing else; a ValueError naming it after label otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label}{value!r} is not an integer") from None
+
+
 # ---------------------------------------------------------------------------
 # Field and elements.
 
@@ -149,19 +158,12 @@ class Field:
     """GF(2^m) with a fixed irreducible modulus.  Immutable."""
 
     def __init__(self, m: int, modulus: int | None = None):
-        # operator.index admits Python and numpy integers and nothing else
-        try:
-            m = operator.index(m)
-        except TypeError:
-            raise ValueError(f"extension degree m={m!r} is not an integer") from None
+        m = _integer(m, "extension degree m=")
         if not 1 <= m <= MAX_M:
             raise ValueError(f"extension degree m={m} outside supported range 1..{MAX_M}")
         if modulus is None:
             modulus = default_modulus(m)
-        try:
-            modulus = operator.index(modulus)
-        except TypeError:
-            raise ValueError(f"modulus {modulus!r} is not an integer") from None
+        modulus = _integer(modulus, "modulus ")
         if modulus < 0:
             raise ValueError(f"modulus {modulus:#x} is negative")
         if poly_degree(modulus) != m:
@@ -254,10 +256,7 @@ class Field:
     def _subfield_degree(self, h) -> int:
         """h as an int, read through ``operator.index``; a ValueError unless
         it is a positive divisor of m."""
-        try:
-            h = operator.index(h)
-        except TypeError:
-            raise ValueError(f"subfield degree h={h!r} is not an integer") from None
+        h = _integer(h, "subfield degree h=")
         if h <= 0 or self.m % h:
             raise ValueError(f"h={h} does not divide m={self.m}")
         return h
@@ -329,10 +328,7 @@ class Field:
     def element_of_order(self, n: int) -> int:
         """Least element of exact multiplicative order n; n must divide 2^m - 1.
         Those elements are g^((2^m - 1)/n * j) for j < n coprime to n."""
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"order n={n!r} is not an integer") from None
+        n = _integer(n, "order n=")
         if n not in self._elements_of_order:
             if n < 1 or (self.order - 1) % n:
                 raise ValueError(f"no element of order {n} in GF(2^{self.m})")

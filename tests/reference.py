@@ -2,7 +2,8 @@
 it checks: the Walsh transform as the explicit character matrix times the
 sign vector, the algebraic normal form by the Moebius butterfly on one
 byte per point and its evaluation monomial by monomial, the bit-transpose by
-one byte per bit packed down the strided axis, a code's codewords by a
+one byte per bit packed down the strided axis and by a loop over the set
+bits of Python ints, a code's codewords by a
 scalar Gray-code walk, and a polynomial with given roots by multiplying out
 its linear factors."""
 
@@ -80,6 +81,17 @@ def transpose_bits_by_packbits(rows, width) -> np.ndarray:
     then packed down the row axis and transposed."""
     bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
     return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T)
+
+
+def transpose_by_loop(rows, width):
+    """Set bit i of column j for every set bit j of rows[i], one bit at a time."""
+    out = [0] * width
+    for i, r in enumerate(rows):
+        while r:
+            j = (r & -r).bit_length() - 1
+            out[j] |= 1 << i
+            r &= r - 1
+    return out
 
 
 def codewords(code):

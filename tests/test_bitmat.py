@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from walshcodes import bitmat
 from walshcodes.defining_set import DefiningSet, code_from_defining_set
 from walshcodes.gf2 import field
-from reference import transpose_bits_by_packbits
+from reference import transpose_bits_by_packbits, transpose_by_loop
 
 
 def span(rows):
@@ -22,17 +22,6 @@ def span(rows):
 
 def random_rows(rng, count, width):
     return [rng.randrange(1 << width) for _ in range(count)]
-
-
-def transpose_by_loop(rows, width):
-    """Reference: set bit i of column j for every set bit j of rows[i]."""
-    out = [0] * width
-    for i, r in enumerate(rows):
-        while r:
-            j = (r & -r).bit_length() - 1
-            out[j] |= 1 << i
-            r &= r - 1
-    return out
 
 
 def rref_by_column_scan(rows, width):

@@ -29,8 +29,7 @@ from walshcodes.defining_set import (
 )
 from walshcodes.gf2 import field, poly_degree, poly_divmod
 
-from reference import expand_roots
-from test_bitmat import transpose_by_loop
+from reference import expand_roots, transpose_by_loop
 
 # the (n, k, d) and weight-distribution facts that `verify catalog` checks
 FACTS = {name: (n, k, d, dist) for name, n, k, d, dist in CATALOG_FACTS}

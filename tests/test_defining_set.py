@@ -25,8 +25,7 @@ from walshcodes.defining_set import (
 from walshcodes.gf2 import Field, field, is_irreducible
 from walshcodes.linear_code import BinaryCode, column_defect
 from walshcodes import bitmat, defining_set
-
-from test_bitmat import transpose_by_loop
+from reference import transpose_by_loop
 
 
 def random_defining_set(f, rng, allow_repeats=False):

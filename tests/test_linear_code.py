@@ -22,8 +22,7 @@ from walshcodes.linear_code import (
     random_spanning_rows,
 )
 
-from reference import codewords
-from test_bitmat import transpose_by_loop
+from reference import codewords, transpose_by_loop
 
 
 def naive_codewords(rows):
