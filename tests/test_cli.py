@@ -11,6 +11,8 @@ from walshcodes.boolfun import BooleanFunction, WalshSpectrum
 from walshcodes.cli import _build_parser, analyze_report, main
 from walshcodes.linear_code import BinaryCode
 
+import test_output_contract as contract
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -335,6 +337,59 @@ def test_openproblems_is_byte_stable(capsys, tmp_path):
     assert run_cli(capsys, "openproblems", "--out", str(b_dir))[0] == 0
     for path in sorted(a_dir.iterdir()):
         assert path.read_bytes() == (b_dir / path.name).read_bytes()
+
+
+# The golden digests below are the output contract's entries for these inputs:
+# regenerating the contract updates them, and a change to the reports' bytes
+# fails here as well as in the contract.
+
+
+def test_openproblems_reports_match_the_golden_digest(capsys, tmp_path):
+    assert run_cli(capsys, "openproblems", "--out", str(tmp_path))[0] == 0
+    paths = sorted(tmp_path.glob("problem*.json"), key=lambda p: p.name)
+    assert len(paths) == 7
+    want = contract.recorded("openproblems")
+    assert {p.name: contract.short_digest(p.read_bytes()) for p in paths} == \
+        {name: digest for name, digest in want.items() if name != "openproblems"}
+
+
+def _analyze_golden(capsys, specs):
+    """The JSON reports of the specs, each checked against the contract's
+    catalog family, which must hold it."""
+    want = contract.recorded("catalog")
+    reports = []
+    for spec in specs:
+        code, stdout, stderr = run_cli(capsys, "analyze", spec)
+        assert code == 0
+        assert contract.short_digest(contract.output(code, stdout, stderr)) == \
+            want[f"analyze {spec}"], spec
+        reports.append(json.loads(stdout))
+    return reports
+
+
+# Six codes whose Boolean functions live on m = 13..18, past the openproblems
+# reports' m <= 12: their reports pin algebraic_degree, nonlinearity,
+# classification and walsh_histogram, which come from the float32 transform
+# and the packed Moebius butterfly.
+ANALYZE_LARGE_M = ["bch:n=21,d=3", "bch:n=127,d=49", "qr:n=31", "bch:n=31,d=7",
+                   "rm:l=2,m=5", "bch:n=63,d=17"]
+
+
+def test_analyze_reports_above_m12_match_the_golden_digest(capsys):
+    for report in _analyze_golden(capsys, ANALYZE_LARGE_M):
+        assert report["boolean_function"]["m"] >= 13
+
+
+# The catalog codes of rank above 32 and the non-projective catalog codes:
+# their reports pin the projectivity verdict and the not-projective message
+# of each.
+ANALYZE_COLUMN_KEYS = ["hamming:m=6", "hamming:m=7", "hamming:m=8", "rm:l=4,m=6",
+                       "bch:n=21,d=9", "bch:n=45,d=9", "bch:n=45,d=17"]
+
+
+def test_analyze_reports_of_wide_and_non_projective_codes_match_the_golden_digest(capsys):
+    verdicts = [report["projective"] for report in _analyze_golden(capsys, ANALYZE_COLUMN_KEYS)]
+    assert verdicts == [True] * 4 + [False] * 3
 
 
 def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch):

@@ -1,11 +1,26 @@
-"""The package exports every name it lists as public, and the benchmark's
-span recorder still finds every name it wraps.  The demos' exit codes and
-printed bytes are pinned by the ``demos`` family of the output contract."""
+"""Every script under demos/ runs to completion and prints the bytes the
+output contract records for it, the package exports every name it lists as
+public, and the benchmark's span recorder still finds every name it wraps."""
 
 import importlib.util
 import pathlib
 
+import pytest
+
+import test_output_contract as contract
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", contract.DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_0(demo):
+    """The demo exits 0 and its stdout matches its entry in the contract's
+    demos family; every demo is deterministic, so a rewrite of one that
+    changes what it prints fails here."""
+    proc = contract.run_demo(demo)
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = contract.short_digest(contract.demo_output(proc))
+    assert got == contract.recorded("demos")[demo.stem]
 
 
 def test_star_import_binds_every_name_in_all():
