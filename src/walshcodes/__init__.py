@@ -11,7 +11,7 @@ and a CLI.
 
 from .gf2 import MAX_M, Field, default_modulus, field, is_irreducible
 from .boolfun import BooleanFunction, WalshSpectrum, bent_function, random_function
-from .linear_code import (ENUMERATION_LIMIT, BinaryCode, macwilliams_transform,
+from .linear_code import (ENUMERATION_BUDGET, BinaryCode, macwilliams_transform,
                           random_spanning_rows)
 from .defining_set import (DefiningSet, NotProjectiveError,
                            SpectralWeightReport, bivariate_view,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_M", "Field", "default_modulus", "field", "is_irreducible",
     "BooleanFunction", "WalshSpectrum", "bent_function", "random_function",
-    "ENUMERATION_LIMIT", "BinaryCode", "macwilliams_transform", "random_spanning_rows",
+    "ENUMERATION_BUDGET", "BinaryCode", "macwilliams_transform", "random_spanning_rows",
     "DefiningSet", "NotProjectiveError", "SpectralWeightReport",
     "bivariate_view", "boolean_from_code", "code_from_defining_set",
     "codeword_weight", "extract_defining_set", "spectral_weight_distribution",

@@ -46,6 +46,15 @@ _U1, _U2, _U4 = np.uint8(1), np.uint8(2), np.uint8(4)
 _M1, _M2, _M4 = np.uint8(0x55), np.uint8(0x33), np.uint8(0x0F)
 
 
+def _integer(value, label: str) -> int:
+    """value read through ``operator.index``, which admits Python and numpy
+    integers and nothing else; a ValueError naming it after label otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label}{value!r} is not an integer") from None
+
+
 def as_ints(values, what: str) -> tuple[int, ...]:
     """values as Python ints, each through ``operator.index``: Python and
     numpy integers pass, while a float or a string raises a ValueError that
@@ -59,10 +68,7 @@ def as_ints(values, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         for v in values:
-            try:
-                operator.index(v)
-            except TypeError:
-                raise ValueError(f"{what} {v!r} is not an integer") from None
+            _integer(v, f"{what} ")
         raise
 
 

@@ -19,7 +19,7 @@ from . import bitmat
 from .defining_set import DefiningSet, code_from_defining_set
 from .gf2 import (MAX_M, Field, _prime_factors, field as get_field, poly_degree,
                   poly_divmod, poly_mul, poly_str)
-from .linear_code import ENUMERATION_LIMIT, BinaryCode
+from .linear_code import BinaryCode, fits_enumeration_budget
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +164,7 @@ def bch_code(n: int, delta: int) -> BinaryCode:
     """Narrow-sense BCH code of length n and designed distance delta."""
     g = bch_generator_polynomial(n, delta)
     code = _cyclic_code(n, g)
-    if 1 <= code.k <= ENUMERATION_LIMIT and code.minimum_distance() < delta:
+    if code.k and fits_enumeration_budget(code.k, code.n) and code.minimum_distance() < delta:
         raise AssertionError(
             f"BCH({n},{delta}) enumerated distance fell below the designed distance")
     return code

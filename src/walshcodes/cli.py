@@ -3,7 +3,7 @@
 Subcommands:
   analyze       full report for one code: parameters, projectivity, defining
                 set, Boolean function, Walsh spectrum, weight distribution by
-                both the spectral and brute-force routes with a verdict
+                the spectral route and, within the enumeration budget, brute force
   build         defining-set JSON -> generator matrix
   extract       generator matrix -> defining-set JSON
   verify        randomized/fixture suites (roundtrip, theorem3, bivariate, catalog)
@@ -31,8 +31,7 @@ from .defining_set import (DefiningSet, NotProjectiveError, bivariate_view,
                            extract_with_function, spectral_weight_distribution,
                            verify_spectral_distribution)
 from .gf2 import MAX_M, field as get_field
-from .linear_code import (ENUMERATION_LIMIT, BinaryCode, column_defect,
-                          random_spanning_rows)
+from .linear_code import BinaryCode, column_defect, random_spanning_rows
 
 
 class UsageError(ValueError):
@@ -97,7 +96,7 @@ def _resolve_code(spec: str) -> BinaryCode:
 # ---------------------------------------------------------------------------
 # analyze
 
-def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool]:
+def analyze_report(code: BinaryCode, label: str) -> tuple[dict, bool]:
     """The full analysis record for one code and whether both weight routes agree
     (vacuously true when a route is skipped).
 
@@ -119,9 +118,9 @@ def analyze_report(code: BinaryCode, label: str, max_k: int) -> tuple[dict, bool
                                 "verdict": "SKIPPED"},
         "notes": [],
     }
-    route = code.enumerated_distribution(max_k)
+    route = code.enumerated_distribution()
     if route is None:
-        report["notes"].append(f"enumeration skipped: k={code.k} above guard {max_k}")
+        report["notes"].append("enumeration skipped: code and dual above the enumeration budget")
     else:
         dist, from_dual = route
         if from_dual:
@@ -191,7 +190,7 @@ def _report_to_csv(report: dict) -> str:
 
 def cmd_analyze(args) -> int:
     code = _resolve_code(args.code_spec)
-    report, ok = analyze_report(code, args.code_spec, args.max_k)
+    report, ok = analyze_report(code, args.code_spec)
     if args.format == "csv":
         _emit(_report_to_csv(report), args.out)
     else:
@@ -362,7 +361,7 @@ def cmd_openproblems(args) -> int:
         summary = []
         for spec in specs:
             code = _resolve_code(spec)
-            report, ok = analyze_report(code, spec, args.max_k)
+            report, ok = analyze_report(code, spec)
             all_ok = all_ok and ok
             instances.append(report)
             bf = report.get("boolean_function") or {}
@@ -402,8 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0, help="PRNG seed (default 0)"),
         "--trials": dict(type=int, help="number of randomized cases (suite-specific default)"),
         "--out": dict(help="output file (or directory)"),
-        "--max-k": dict(dest="max_k", type=int, default=ENUMERATION_LIMIT,
-                        help=f"enumeration guard (hard cap {ENUMERATION_LIMIT})"),
         "--format": dict(choices=("json", "csv"), default="json"),
     }
 
@@ -414,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one code")
     p.add_argument("code_spec", help="catalog name (e.g. simplex:k=3) or matrix file")
-    add_flags(p, "--out", "--format", "--max-k")
+    add_flags(p, "--out", "--format")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("build", help="defining-set JSON -> generator matrix")
@@ -433,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("openproblems", help="write per-family study reports")
-    add_flags(p, "--out", "--max-k")
+    add_flags(p, "--out")
     p.set_defaults(func=cmd_openproblems)
     return parser
 
@@ -441,9 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= getattr(args, "max_k", 1) <= ENUMERATION_LIMIT:
-        print(f"error: --max-k must be in [1, {ENUMERATION_LIMIT}]", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except UsageError as exc:

@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import bitmat
+from .bitmat import _integer
 
 MAX_M = 20
 
@@ -140,15 +141,6 @@ def is_hex(s) -> bool:
     """True for a string of one or more hex digits and nothing else: no sign,
     0x prefix, underscore or white space, all of which int(s, 16) accepts."""
     return isinstance(s, str) and _HEX_DIGITS.fullmatch(s) is not None
-
-
-def _integer(value, label: str) -> int:
-    """value read through ``operator.index``, which admits Python and numpy
-    integers and nothing else; a ValueError naming it after label otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{label}{value!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ check and exits 1.  The checks:
 
 - the exact weight distributions of two semiprimitive codes at the field cap
   m = 20, from ``walshcodes analyze``;
+- the report of ``simplex:k=20``: its codewords are above the enumeration
+  budget, so brute force is skipped and the spectral route alone gives the
+  distribution, in about 1.5 s;
 - build -> extract -> build round trips, each of which must rebuild the same
   code;
 - the report of a matrix with a repeated column.
@@ -45,7 +48,7 @@ def semiprimitive(tmp, big_n) -> str | None:
     checked."""
     m = 20
     out = tmp / f"m20n{big_n}.json"
-    walshcodes_cli("analyze", f"irrcyclic:m={m},n={big_n}", "--max-k", 1, "--out", out)
+    walshcodes_cli("analyze", f"irrcyclic:m={m},n={big_n}", "--out", out)
     j = next(j for j in range(1, big_n) if pow(2, j, big_n) == big_n - 1)
     sign, n = (-1) ** (m // (2 * j)), ((1 << m) - 1) // big_n
     want = {0: 1,
@@ -56,6 +59,20 @@ def semiprimitive(tmp, big_n) -> str | None:
     if m % (2 * j) == 0 and got == want:
         return None
     return f"m = 20, N = {big_n} spectral distribution is {got}, expected {want}"
+
+
+def simplex_above_the_budget(tmp) -> str | None:
+    """simplex:k=20 is [2^20 - 1, 20]: 2^20 codewords of 2^17 bytes, far
+    above the enumeration budget, so the verdict is SKIPPED and the spectral
+    distribution is {0: 1, 2^19: 2^20 - 1}.  Brute force at this size took
+    minutes; were it back, the verdict would no longer read SKIPPED."""
+    out = tmp / "simplex20.json"
+    walshcodes_cli("analyze", "simplex:k=20", "--out", out)
+    wd = json.loads(out.read_text())["weight_distribution"]
+    want = {"0": 1, str(1 << 19): (1 << 20) - 1}
+    if wd["verdict"] == "SKIPPED" and wd["bruteforce"] is None and wd["spectral"] == want:
+        return None
+    return f"simplex:k=20 verdict {wd['verdict']}, spectral distribution {wd['spectral']}"
 
 
 # (name, defining-set JSON, n and k of the code it builds)
@@ -113,6 +130,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         failures = [semiprimitive(tmp, big_n) for big_n in (3, 5)]
+        failures.append(simplex_above_the_budget(tmp))
         failures += [round_trip(tmp, *case) for case in ROUND_TRIPS]
         failures.append(repeated_column(tmp))
     failures = [f for f in failures if f]

@@ -84,7 +84,7 @@ def test_criterion_02_extraction_round_trip():
     rng = random.Random(2000)
     deficient = 0
     for _ in range(500):
-        rows, n = random_spanning_rows(rng, max_k=12, max_n=64)
+        rows, n = random_spanning_rows(rng, max_rank=12, max_n=64)
         code = BinaryCode(rows, n)
         rebuilt = code_from_defining_set(extract_defining_set(code))
         assert rebuilt == code and rebuilt.n == code.n  # same span, same column order
@@ -248,7 +248,7 @@ def test_criterion_10_projectivity_equivalence():
     checked = 0
     for code in instances:
         if code.n - code.k > 24:
-            continue  # dual rank beyond the enumeration guard
+            continue  # a dual of rank above 24 is above the enumeration budget
         dual = code.dual()
         assert code.is_projective() == (dual.minimum_distance() >= 3)
         checked += 1

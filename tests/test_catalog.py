@@ -28,6 +28,7 @@ from walshcodes.defining_set import (
     verify_spectral_distribution,
 )
 from walshcodes.gf2 import field, poly_degree, poly_divmod
+from walshcodes.linear_code import BinaryCode
 
 from reference import expand_roots, transpose_by_loop
 
@@ -248,6 +249,26 @@ def test_bch_code_parameters():
     for bad_n, bad_d in ((8, 3), (15, 1), (15, 16)):
         with pytest.raises(ValueError):
             bch_code(bad_n, bad_d)
+
+
+def test_bch_designed_distance_check_follows_the_enumeration_budget(monkeypatch):
+    weight_distribution = BinaryCode.weight_distribution
+    calls = []
+
+    def counted(self):
+        calls.append((self.n, self.k))
+        return weight_distribution(self)
+
+    monkeypatch.setattr(BinaryCode, "weight_distribution", counted)
+    # [63, 18]: 2^18 codewords of 8 bytes, 2 MiB, are enumerated once
+    assert bch_code(63, 17).k == 18 and calls == [(63, 18)]
+
+    def forbidden(self):
+        raise AssertionError(f"enumerated [{self.n}, {self.k}]")
+
+    # [4095, 19]: 2^19 codewords of 512 bytes, 256 MiB, are above the budget
+    monkeypatch.setattr(BinaryCode, "weight_distribution", forbidden)
+    assert bch_code(4095, 1985).k == 19
 
 
 def test_bch_rejects_lengths_outside_supported_splitting_fields():

@@ -131,22 +131,16 @@ def test_catalog_name_wins_over_a_file_of_the_same_name(capsys, tmp_path,
         "unknown catalog code 'missing.txt'"]
 
 
-def test_max_k_flag_validation(capsys):
-    code, _, err = run_cli(capsys, "analyze", "simplex:k=3", "--max-k", "25")
-    assert code == 2 and "--max-k" in err
-    code, _, err = run_cli(capsys, "analyze", "simplex:k=3", "--max-k", "0")
-    assert code == 2
-
-
-def test_analyze_respects_max_k_guard(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "simplex:k=5", "--max-k", "4")
+def test_analyze_skips_enumeration_above_the_budget(capsys):
+    # [32767, 15]: 2^15 codewords of 4096 bytes are 128 MiB, the dual's 2^32752
+    # more; the spectral route still gives the whole distribution
+    code, out, _ = run_cli(capsys, "analyze", "simplex:k=15")
     assert code == 0
     report = json.loads(out)
-    # k = 5 > 4 and n - k = 26 > 4: both weight routes are skipped
     assert report["weight_distribution"]["bruteforce"] is None
     assert report["weight_distribution"]["verdict"] == "SKIPPED"
-    assert any("enumeration" in note or "guard" in note
-               for note in report["notes"]) or report["notes"]
+    assert report["weight_distribution"]["spectral"] == {"0": 1, str(1 << 14): (1 << 15) - 1}
+    assert "enumeration skipped: code and dual above the enumeration budget" in report["notes"]
 
 
 # -- build / extract ----------------------------------------------------------------
@@ -409,7 +403,7 @@ def test_analyze_report_reads_projectivity_and_f_off_the_extraction(monkeypatch)
                                         ("bch:n=21,d=9", 4, False, 0),
                                         ("hamming:m=6", 57, True, 1)):
         calls.clear()
-        report, ok = analyze_report(catalog.build_from_name(spec), spec, 24)
+        report, ok = analyze_report(catalog.build_from_name(spec), spec)
         assert ok and report["parameters"]["k"] == k and report["projective"] is projective
         assert (report["boolean_function"] is None) == (k > 20)
         assert calls == [k] * checks
@@ -423,7 +417,7 @@ def test_analyze_report_never_builds_the_trace_ordered_spectrum(monkeypatch):
 
     monkeypatch.setattr(WalshSpectrum, "values", property(forbidden))
     spec = "irrcyclic:m=14,n=3"
-    report, ok = analyze_report(catalog.build_from_name(spec), spec, 14)
+    report, ok = analyze_report(catalog.build_from_name(spec), spec)
     assert ok and report["projective"] is True and report["boolean_function"]["m"] == 14
     assert report["weight_distribution"]["verdict"] == "EQUAL"
     assert sum(int(v) for v in report["boolean_function"]["walsh_histogram"].values()) == 1 << 14
@@ -441,6 +435,8 @@ def test_analyze_report_never_builds_the_trace_ordered_spectrum(monkeypatch):
     ["verify", "roundtrip", "--max-k", "3"],
     ["openproblems", "--trials", "2"],
     ["openproblems", "--format", "csv"],
+    ["analyze", "simplex:k=3", "--max-k", "25"],
+    ["openproblems", "--max-k", "0"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -537,14 +533,12 @@ def test_missing_subcommand_exits_2():
      "error: bad matrix file {dir}/m.txt: not UTF-8 text (invalid start byte at byte 0)"),
     (["verify", "bivariate", "--trials", "0"], {},
      "error: --trials must be at least 1, got 0"),
-    (["openproblems", "--max-k", "0"], {}, None),
 ], ids=["analyze-not-utf8", "analyze-ragged", "analyze-underscore-row", "analyze-signed-row",
         "analyze-arabic-indic-digits", "analyze-blank", "analyze-underscore-parameter",
         "build-no-elements", "build-no-m",
         "build-no-modulus", "build-not-object", "build-int-modulus", "build-int-element",
         "build-not-utf8", "build-prefixed-modulus", "build-prefixed-element",
-        "build-signed-element", "build-non-hex-element", "extract-not-utf8", "verify-zero-trials",
-        "openproblems-zero-max-k"])
+        "build-signed-element", "build-non-hex-element", "extract-not-utf8", "verify-zero-trials"])
 def test_bad_input_to_each_subcommand_is_one_error_line_and_exit_2(tmp_path, argv, files,
                                                                    expected):
     for name, data in files.items():

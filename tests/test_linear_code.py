@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from walshcodes import bitmat, boolfun, catalog, linear_code
 from walshcodes.linear_code import (
-    ENUMERATION_LIMIT,
     BinaryCode,
+    fits_enumeration_budget,
     krawtchouk,
     macwilliams_transform,
     random_spanning_rows,
@@ -158,28 +158,37 @@ def test_minimum_distance_uses_dual_side_when_k_is_large():
 
 def test_enumerated_distribution_picks_the_side_that_fits():
     simplex = catalog.simplex(4)  # k = 4: enumerated directly
-    dist, from_dual = simplex.enumerated_distribution(ENUMERATION_LIMIT)
+    dist, from_dual = simplex.enumerated_distribution()
     assert not from_dual and dist == {0: 1, 8: 15}
     assert min(w for w in dist if w) == simplex.minimum_distance()
-    hamming = catalog.hamming(5)  # k = 26 above the limit, n - k = 5: through the dual
-    dist, from_dual = hamming.enumerated_distribution(ENUMERATION_LIMIT)
+    # [31, 26]: 2^26 codewords of 4 bytes are above the budget, the dual's 2^5 are not
+    hamming = catalog.hamming(5)
+    dist, from_dual = hamming.enumerated_distribution()
     assert from_dual and sum(dist.values()) == 1 << 26 and dist[3] == 31 * 30 // 6
     assert min(w for w in dist if w) == hamming.minimum_distance() == 3
-    # hamming(4) is [15, 11]: both sides fit at max_k = 11, only the dual at 4
+    rm = catalog.build_from_name("rm:l=3,m=5")  # [32, 26, 4]: through the dual as well
+    dist, from_dual = rm.enumerated_distribution()
+    assert from_dual and sum(dist.values()) == 1 << 26 and min(w for w in dist if w) == 4
+    # [64, 24]: 2^24 codewords of 8 bytes and the dual's 2^40 are both above it
+    assert BinaryCode([1 << i for i in range(24)], 64).enumerated_distribution() is None
+    # the dual route equals direct enumeration on hamming(4), [15, 11], under a
+    # budget of 2^11 bytes that only its dual's 2^4 codewords of 2 bytes fit
     small = catalog.hamming(4)
-    direct, via_dual = small.enumerated_distribution(11), small.enumerated_distribution(4)
-    assert (direct[1], via_dual[1]) == (False, True) and direct[0] == via_dual[0]
-    # neither side fits
-    assert simplex.enumerated_distribution(3) is None
-    assert hamming.enumerated_distribution(4) is None
+    with mock.patch.object(linear_code, "ENUMERATION_BUDGET", 1 << 11):
+        via_dual = small.enumerated_distribution()
+    assert via_dual == (small.weight_distribution(), True)
 
 
 def test_enumeration_guard_blocks_oversized_codes():
-    n = ENUMERATION_LIMIT + 6
-    code = BinaryCode([1 << i for i in range(ENUMERATION_LIMIT + 1)], n)
-    with pytest.raises(ValueError, match=rf"refusing to enumerate 2\^{ENUMERATION_LIMIT + 1} "
-                                         rf"codewords \(limit is k <= {ENUMERATION_LIMIT}\)"):
-        code.weight_distribution()
+    # the budget admits rank 24 at up to 32 bits and no rank above 24 at all
+    assert fits_enumeration_budget(24, 32) and fits_enumeration_budget(0, 1 << 20)
+    assert not fits_enumeration_budget(24, 33) and not fits_enumeration_budget(25, 25)
+    # rank 25; simplex(15), rank 15, costs 2^15 codewords of 4096 bytes, 128 MiB
+    for code in (BinaryCode([1 << i for i in range(25)], 30), catalog.simplex(15)):
+        with pytest.raises(ValueError, match=rf"refusing to enumerate 2\^{code.k} codewords "
+                                             rf"of length {code.n} \(above the enumeration "
+                                             rf"budget\)"):
+            code.weight_distribution()
 
 
 def test_dual_is_the_orthogonal_complement():
@@ -211,7 +220,7 @@ def test_dual_of_zero_and_full_codes():
 def test_dual_of_the_dual_is_the_code(seed, repeats, zero_rows):
     # random_spanning_rows already appends xor combinations of its rows;
     # repeated and zero rows make the generator rank-deficient as well
-    rows, n = random_spanning_rows(random.Random(seed), max_k=16, max_n=80)
+    rows, n = random_spanning_rows(random.Random(seed), max_rank=16, max_n=80)
     rows += [rows[i % len(rows)] for i in repeats] + [0] * zero_rows
     code = BinaryCode(rows, n)
     dual = code.dual()
